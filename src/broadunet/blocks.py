@@ -65,6 +65,11 @@ class AsppConfig:
 BRANCH_SIZES = (1, 3, 5)
 
 
+def _concat_shape(shapes) -> tuple:
+    """Shape of the channel concatenation of same-extent maps."""
+    return (*shapes[0][:3], sum(s[3] for s in shapes))
+
+
 class MultiScaleBlock(Layer):
     """Initial conv, parallel 1/3/5 branches, concat-merge, residual, ReLU.
 
@@ -106,9 +111,11 @@ class MultiScaleBlock(Layer):
 
     def out_shape(self, shape):
         h = self.initial.out_shape(shape)
-        for branch in self.branches:
-            branch.out_shape(h)
-        return (*shape[:3], self.cfg.out_channels)
+        merged = self.merge.out_shape(
+            _concat_shape([branch.out_shape(h) for branch in self.branches]))
+        if self.project is not None:
+            self.project.out_shape(shape)
+        return merged
 
     def forward(self, x, train=False, rng=None):
         h = self.initial.forward(x, train=train, rng=rng)
@@ -172,9 +179,8 @@ class Aspp(Layer):
         return list(self.branches) + [("merge", self.merge)]
 
     def out_shape(self, shape):
-        for _, branch in self.branches:
-            branch.out_shape(shape)
-        return (*shape[:3], self.cfg.out_channels)
+        return self.merge.out_shape(
+            _concat_shape([branch.out_shape(shape) for _, branch in self.branches]))
 
     def forward(self, x, train=False, rng=None):
         outs = [b.forward(x, train=train, rng=rng) for _, b in self.branches]

@@ -10,7 +10,7 @@ Downsampling is done exclusively by spatial max pooling.
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -130,6 +130,64 @@ def _factor_specs(spec: ConvSpec) -> list:
 # ---------------------------------------------------------------------------
 # Functional convolution kernel
 # ---------------------------------------------------------------------------
+#
+# Each tap is one GEMM over contiguous memory. The input is zero-padded and
+# flattened to (P, Cin) rows; the output is computed on the padded grid, so
+# tap (i, j, k) reads the row span [offset, offset + span) of that flat array,
+# where offset = a_t * Hp * Wp + a_h * Wp + a_w for its per-axis start a.
+# Grid rows outside the (T', H', W') output read wrapped data and are
+# cropped. Taps whose window lies wholly in zero padding along some axis add
+# exact zeros and are skipped, and the input is padded only as far as the
+# remaining (live) taps read.
+
+
+@dataclass(frozen=True)
+class _TapPlan:
+    """Live taps and grid layout of one ConvSpec on fixed input extents."""
+
+    taps: tuple        # ((i, j, k), flat row offset) per live tap, row-major
+    pads: tuple        # per-axis (before, after) zero padding actually applied
+    padded_thw: tuple  # (Tp, Hp, Wp) extents of the padded input
+    out_thw: tuple     # (T', H', W')
+    span: int          # grid rows from the first to the last output position
+
+
+# a Broad-UNet uses 88 distinct (spec, extents) pairs per input shape
+@functools.lru_cache(maxsize=1024)
+def _tap_plan(spec: ConvSpec, in_thw: tuple) -> _TapPlan:
+    """Tap plan of `spec` on input extents `in_thw`; cached per pair."""
+    out_thw = spec.out_extents(in_thw)
+    axes = []
+    for n, o, k, d, (before, _) in zip(in_thw, out_thw, spec.kernel,
+                                        spec.dilation, spec.pad_pairs()):
+        # tap i reads input rows [i*d - before, i*d - before + o); it is live
+        # when that window overlaps the data rows [0, n)
+        axes.append({i: i * d - before for i in range(k)
+                     if -o < i * d - before < n})
+    if not all(axes):
+        # every tap is pad-only along some axis: the output is the bias
+        return _TapPlan((), ((0, 0),) * 3, tuple(in_thw), out_thw,
+                       _span(out_thw, in_thw))
+    pads, starts = [], []
+    for n, o, offsets in zip(in_thw, out_thw, axes):
+        lo = min(0, *offsets.values())
+        hi = max(n, *(a + o for a in offsets.values()))
+        pads.append((-lo, hi - n))
+        starts.append({i: a - lo for i, a in offsets.items()})
+    padded_thw = tuple(n + b + a for n, (b, a) in zip(in_thw, pads))
+    _, hp, wp = padded_thw
+    taps = tuple(((i, j, k), at * hp * wp + ah * wp + aw)
+                 for i, at in starts[0].items()
+                 for j, ah in starts[1].items()
+                 for k, aw in starts[2].items())
+    return _TapPlan(taps, tuple(pads), padded_thw, out_thw,
+                   _span(out_thw, padded_thw))
+
+
+def _span(out_thw, grid_thw) -> int:
+    (to, ho, wo), (_, hp, wp) = out_thw, grid_thw
+    return (to - 1) * hp * wp + (ho - 1) * wp + wo
+
 
 @dataclass
 class ConvTape:
@@ -138,7 +196,6 @@ class ConvTape:
     padded: np.ndarray
     weights: np.ndarray
     spec: ConvSpec
-    pads: tuple
     in_shape: tuple
     out_shape: tuple
 
@@ -155,22 +212,33 @@ def conv3d_forward(x, weights, bias, spec: ConvSpec):
         raise ValueError(f"expected {spec.in_channels} input channels, got {x.shape[3]}")
     if weights.shape != spec.weight_shape():
         raise ValueError(f"weights shape {weights.shape} != {spec.weight_shape()}")
-    out_thw = spec.out_extents(x.shape[:3])
-    pads = spec.pad_pairs()
-    if spec.padding == "same":
-        xp = np.pad(x, (*pads, (0, 0)))
+    plan = _tap_plan(spec, x.shape[:3])
+    if plan.padded_thw != x.shape[:3]:
+        xp = np.zeros((*plan.padded_thw, spec.in_channels), dtype=x.dtype)
+        (pt, _), (ph, _), (pw, _) = plan.pads
+        t, h, w, _ = x.shape
+        xp[pt:pt + t, ph:ph + h, pw:pw + w] = x
     else:
-        xp = x
-    to, ho, wo = out_thw
-    dt, dh, dw = spec.dilation
-    y = np.zeros((to, ho, wo, spec.out_channels), dtype=x.dtype)
-    kt, kh, kw = spec.kernel
-    for i, j, k in itertools.product(range(kt), range(kh), range(kw)):
-        window = xp[i * dt:i * dt + to, j * dh:j * dh + ho, k * dw:k * dw + wo, :]
-        y += np.tensordot(window, weights[i, j, k], axes=([3], [0]))
+        xp = np.ascontiguousarray(x)
+    rows = xp.reshape(-1, spec.in_channels)
+    to, ho, wo = plan.out_thw
+    _, hp, wp = plan.padded_thw
+    grid = np.empty((to * hp * wp, spec.out_channels), dtype=x.dtype)
+    acc = grid[:plan.span]
+    if not plan.taps:
+        acc[...] = 0
+    for n, (tap, off) in enumerate(plan.taps):
+        window = rows[off:off + plan.span]
+        if n == 0:
+            np.matmul(window, weights[tap], out=acc)
+        else:
+            acc += window @ weights[tap]
+    y = grid.reshape(to, hp, wp, spec.out_channels)
+    if (hp, wp) != (ho, wo):
+        y = np.ascontiguousarray(y[:, :ho, :wo])
     if bias is not None:
-        y += bias
-    tape = ConvTape(xp, weights, spec, pads, x.shape, y.shape)
+        _add_bias(y, bias)
+    tape = ConvTape(xp, weights, spec, x.shape, y.shape)
     return y, tape
 
 
@@ -179,24 +247,51 @@ def conv3d_backward(tape: ConvTape, grad_out):
     if grad_out.shape != tape.out_shape:
         raise ValueError(f"grad shape {grad_out.shape} != output shape {tape.out_shape}")
     spec = tape.spec
-    to, ho, wo = tape.out_shape[:3]
-    dt, dh, dw = spec.dilation
-    kt, kh, kw = spec.kernel
-    grad_w = np.zeros_like(tape.weights)
-    grad_xp = np.zeros_like(tape.padded)
-    for i, j, k in itertools.product(range(kt), range(kh), range(kw)):
-        tsl = slice(i * dt, i * dt + to)
-        hsl = slice(j * dh, j * dh + ho)
-        wsl = slice(k * dw, k * dw + wo)
-        window = tape.padded[tsl, hsl, wsl, :]
-        grad_w[i, j, k] = np.tensordot(window, grad_out, axes=([0, 1, 2], [0, 1, 2]))
-        grad_xp[tsl, hsl, wsl, :] += np.tensordot(
-            grad_out, tape.weights[i, j, k], axes=([3], [1]))
-    (pt, _), (ph, _), (pw, _) = tape.pads
-    t, h, w, _ = tape.in_shape
-    grad_x = np.ascontiguousarray(grad_xp[pt:pt + t, ph:ph + h, pw:pw + w, :])
-    grad_b = grad_out.sum(axis=(0, 1, 2)) if spec.bias else None
+    plan = _tap_plan(spec, tape.in_shape[:3])
+    to, ho, wo = plan.out_thw
+    _, hp, wp = plan.padded_thw
+    if (hp, wp) != (ho, wo):
+        # embed in the padded grid; zeros keep the cropped rows out of sums
+        grid = np.zeros((to, hp, wp, spec.out_channels), dtype=grad_out.dtype)
+        grid[:, :ho, :wo] = grad_out
+    else:
+        grid = np.ascontiguousarray(grad_out)
+    g = grid.reshape(-1, spec.out_channels)[:plan.span]
+    rows = tape.padded.reshape(-1, spec.in_channels)
+    grad_w = np.zeros(tape.weights.shape, dtype=tape.weights.dtype)
+    if len(plan.taps) == 1 and plan.span == len(rows):
+        # a lone tap over the whole grid (pointwise): nothing to accumulate
+        (tap, _), = plan.taps
+        grad_w[tap] = rows.T @ g
+        grad_rows = g @ tape.weights[tap].T
+    else:
+        grad_rows = np.zeros(rows.shape, dtype=rows.dtype)
+        for tap, off in plan.taps:
+            window = slice(off, off + plan.span)
+            grad_w[tap] = rows[window].T @ g
+            grad_rows[window] += g @ tape.weights[tap].T
+    grad_x = grad_rows.reshape(tape.padded.shape)
+    if plan.padded_thw != tape.in_shape[:3]:
+        (pt, _), (ph, _), (pw, _) = plan.pads
+        t, h, w, _ = tape.in_shape
+        grad_x = np.ascontiguousarray(grad_x[pt:pt + t, ph:ph + h, pw:pw + w])
+    grad_b = _bias_grad(grad_out) if spec.bias else None
     return grad_x, grad_w, grad_b
+
+
+# NumPy loops over the last axis innermost, and a C-long inner loop is slow
+# for the few channels of desk-scale maps. The two bias helpers therefore
+# work on (T*H, W*C) rows of the map.
+
+def _add_bias(y, bias):
+    t, h, w, c = y.shape
+    rows = y.reshape(t * h, w * c)
+    rows += np.tile(bias, w)
+
+
+def _bias_grad(grad_out):
+    t, h, w, c = grad_out.shape
+    return grad_out.reshape(t * h, w * c).sum(axis=0).reshape(w, c).sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +385,10 @@ class Conv3D(Layer):
 
     def backward(self, grad):
         gx, gw, gb = conv3d_backward(self._tape, grad)
+        # the padded input is most of what a step keeps alive; freeing it
+        # here lets each backward release memory as it goes, instead of
+        # holding every tape until the next forward replaces it
+        self._tape = None
         self.accumulate("w", gw)
         if gb is not None:
             self.accumulate("b", gb)

@@ -9,11 +9,12 @@ runs on 2D data. Input (T, H, W, F) maps to output (1, H, W, F).
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .archive import archive_load, archive_save
+from .archive import FormatError, archive_load, archive_save
 from .blocks import Aspp, AsppConfig, BlockConfig, MultiScaleBlock
 from .layers import (
     Activation,
@@ -397,19 +398,29 @@ class Model:
         records = {"__manifest__": np.frombuffer(
             json.dumps(manifest, sort_keys=True).encode("utf-8"), dtype=np.uint8)}
         records.update(params)
-        archive_save(path, records)
+        # write beside the target and swap in, so a kill mid-write leaves
+        # the previous checkpoint intact
+        tmp = os.fspath(path) + ".tmp"
+        archive_save(tmp, records)
+        os.replace(tmp, path)
 
     @classmethod
     def load(cls, path) -> "Model":
         records = archive_load(path)
-        manifest = json.loads(bytes(records.pop("__manifest__")).decode("utf-8"))
-        cfg = ModelConfig.from_dict(manifest["config"])
-        builder = {"broad-unet": build_broad_unet, "unet": build_plain_unet}
-        model = builder[manifest["arch"]](cfg)
-        dtype = {"f32": np.float32, "f64": np.float64}[manifest["elem_type"]]
-        model.initialize(seed=0, dtype=dtype)
-        for name in manifest["param_names"]:
-            model.set_param(name, records[name].astype(dtype, copy=False))
+        try:
+            manifest = json.loads(
+                bytes(records.pop("__manifest__")).decode("utf-8"))
+            cfg = ModelConfig.from_dict(manifest["config"])
+            builder = {"broad-unet": build_broad_unet, "unet": build_plain_unet}
+            model = builder[manifest["arch"]](cfg)
+            dtype = {"f32": np.float32, "f64": np.float64}[manifest["elem_type"]]
+            model.initialize(seed=0, dtype=dtype)
+            for name in manifest["param_names"]:
+                model.set_param(name, records[name].astype(dtype, copy=False))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FormatError(
+                f"bad checkpoint manifest in {path}: "
+                f"{type(exc).__name__}: {exc}") from exc
         return model
 
 

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from broadunet.archive import archive_load, archive_save
 from broadunet.cli import EVAL_COLUMNS, run
 from broadunet.datapipe import load_frames, load_samples
 from broadunet.model import Model
@@ -172,6 +173,24 @@ class TestPredict:
         assert run(["predict", "--checkpoint", workspace["checkpoint"],
                     "--samples", workspace["samples"], "--index", "999",
                     "--out", str(tmp_path / "x.pgm")]) == 1
+
+    @pytest.mark.parametrize("edit", [
+        lambda text: text.replace('"config": {', '"config": {"bogus": 1, '),
+        lambda text: text[:-1],
+    ], ids=["unknown_config_key", "invalid_json"])
+    def test_bad_manifest_is_data_error(self, workspace, tmp_path, capsys, edit):
+        records = archive_load(workspace["checkpoint"])
+        text = bytes(records["__manifest__"]).decode("utf-8")
+        records["__manifest__"] = np.frombuffer(
+            edit(text).encode("utf-8"), dtype=np.uint8)
+        bad = str(tmp_path / "bad.btar")
+        archive_save(bad, records)
+        capsys.readouterr()
+        assert run(["predict", "--checkpoint", bad,
+                    "--samples", workspace["samples"], "--index", "0",
+                    "--out", str(tmp_path / "x.pgm")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 class TestParams:

@@ -86,6 +86,13 @@ class TestConvForward:
         (ConvSpec((3, 3, 3), 1, 2, padding="valid"), (4, 6, 6, 1)),
         (ConvSpec((1, 3, 3), 2, 2, dilation=(1, 2, 2)), (2, 7, 7, 2)),
         (ConvSpec((2, 2, 2), 1, 1), (3, 4, 4, 1)),  # even kernel pad split
+        # dilation beyond the input: only the centre tap reads data
+        (ConvSpec((1, 3, 3), 2, 2, dilation=(1, 6, 6)), (2, 2, 2, 2)),
+        # every tap is pad-only along H and W: the output is the bias
+        (ConvSpec((1, 2, 2), 1, 1, dilation=(1, 3, 3)), (1, 1, 1, 1)),
+        (ConvSpec((2, 3, 3), 2, 2, dilation=(2, 2, 2), padding="valid"),
+         (4, 7, 6, 2)),
+        (ConvSpec((1, 1, 1), 3, 2), (2, 3, 4, 3)),
     ])
     def test_matches_naive_oracle(self, spec, shape):
         rng = np.random.default_rng(7)
@@ -168,6 +175,13 @@ class TestConvBackward:
                                  spec)
         with pytest.raises(ValueError):
             conv3d_backward(tape, np.zeros((1, 3, 3, 1)))
+
+    def test_layer_backward_releases_tape(self):
+        layer = Conv3D(ConvSpec((1, 3, 3), 1, 2))
+        layer.init_params(np.random.default_rng(0))
+        y = layer.forward(np.ones((1, 4, 4, 1), dtype=np.float32))
+        layer.backward(np.ones_like(y))
+        assert layer._tape is None
 
 
 class TestFactorize:
@@ -362,6 +376,14 @@ class TestPrimitiveGradChecks:
         ("relu", Activation("relu"), (2, 5, 5, 2)),
         ("sigmoid", Activation("sigmoid"), (2, 5, 5, 2)),
         ("image_pool", ImageLevelPool(), (2, 6, 6, 3)),
+        ("conv_dilation_beyond_input",
+         Conv3D(ConvSpec((1, 3, 3), 2, 2, dilation=(1, 6, 6))), (2, 2, 2, 2)),
+        ("conv_all_taps_pad_only",
+         Conv3D(ConvSpec((1, 2, 2), 1, 1, dilation=(1, 3, 3))), (1, 1, 1, 1)),
+        ("conv_dilated_valid", Conv3D(ConvSpec(
+            (2, 3, 3), 2, 2, dilation=(2, 2, 2), padding="valid")),
+         (4, 7, 6, 2)),
+        ("conv_pointwise", Conv3D(ConvSpec((1, 1, 1), 3, 2)), (2, 3, 4, 3)),
     ])
     def test_layer(self, name, layer, shape):
         report = grad_check(layer, in_shape=shape, tol=1e-4, seed=17)

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from broadunet import archive
+from broadunet import model as model_module
 from broadunet.blocks import AsppConfig
+from broadunet.layers import Conv3D
 from broadunet.model import (
     Model,
     ModelConfig,
@@ -74,6 +77,19 @@ class TestShapeContract:
         model = build_broad_unet(mini_config()).initialize(seed=3)
         with pytest.raises(ValueError):
             model.predict(np.zeros((3, 16, 16, 1), dtype=np.float32))
+
+    def test_symbolic_walk_visits_every_conv(self, monkeypatch):
+        calls = []
+        real = Conv3D.out_shape
+
+        def counted(layer, shape):
+            calls.append(layer)
+            return real(layer, shape)
+
+        monkeypatch.setattr(Conv3D, "out_shape", counted)
+        model = build_broad_unet(mini_config())
+        model.out_shape()
+        assert len(calls) == len(model.conv_specs())
 
 
 class TestParameterAccounting:
@@ -212,3 +228,20 @@ class TestCheckpoint:
         path = tmp_path / "unet.btar"
         model.save(path)
         assert Model.load(path).arch == "unet"
+
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        model = build_broad_unet(mini_config()).initialize(seed=13)
+        path = tmp_path / "model.btar"
+        model.save(path)
+
+        def failing_save(target, records):
+            # writes the first records, then fails on an unsupported dtype
+            archive.archive_save(
+                target, {**records, "bad": np.zeros(1, dtype=np.int64)})
+
+        monkeypatch.setattr(model_module, "archive_save", failing_save)
+        with pytest.raises(ValueError):
+            build_broad_unet(mini_config()).initialize(seed=14).save(path)
+        loaded = Model.load(path)
+        for name, arr in model.named_params().items():
+            np.testing.assert_array_equal(loaded.named_params()[name], arr)
