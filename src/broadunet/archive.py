@@ -10,6 +10,7 @@ dtype codes: 1 = f32, 2 = f64, 3 = u8. Round trips are bit-exact.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -77,15 +78,23 @@ def archive_load(path) -> dict:
     records = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2, "name length"))
-        name = take(name_len, "name").decode("utf-8")
+        try:
+            name = take(name_len, "name").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(
+                f"record name is not UTF-8 at offset {offset - name_len}") from exc
         code, rank = struct.unpack("<BB", take(2, "dtype/rank"))
         if code not in _DTYPE_CODES:
             raise FormatError(f"unknown dtype code {code} at offset {offset - 2}")
         dims = struct.unpack(f"<{rank}Q", take(8 * rank, "dims"))
         dtype = _DTYPE_CODES[code]
-        n_bytes = int(np.prod(dims, dtype=np.int64)) * dtype.itemsize if rank else dtype.itemsize
-        payload = take(n_bytes, f"payload of {name!r}")
+        # Python ints cannot overflow, so huge dims fail the length check
+        payload = take(math.prod(dims) * dtype.itemsize, f"payload of {name!r}")
         if name in records:
             raise FormatError(f"duplicate record name {name!r} at offset {offset}")
-        records[name] = np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
+        try:
+            records[name] = np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
+        except ValueError as exc:  # a zero dim beside dims numpy cannot index
+            raise FormatError(
+                f"unsupported dims {dims} of {name!r} at offset {offset}") from exc
     return records

@@ -6,7 +6,7 @@ Both preserve (T, H, W) through same padding; only the channel count changes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,6 +15,7 @@ from .layers import (
     ConvSpec,
     ImageLevelPool,
     Layer,
+    Parallel,
     Sequential,
     conv_unit,
 )
@@ -65,11 +66,6 @@ class AsppConfig:
 BRANCH_SIZES = (1, 3, 5)
 
 
-def _concat_shape(shapes) -> tuple:
-    """Shape of the channel concatenation of same-extent maps."""
-    return (*shapes[0][:3], sum(s[3] for s in shapes))
-
-
 class MultiScaleBlock(Layer):
     """Initial conv, parallel 1/3/5 branches, concat-merge, residual, ReLU.
 
@@ -88,10 +84,11 @@ class MultiScaleBlock(Layer):
 
         self.initial = conv_unit(kernel(3), cfg.in_channels, cfg.out_channels,
                                  cfg.factorized)
-        self.branches = [
-            conv_unit(kernel(n), cfg.out_channels, cfg.out_channels, cfg.factorized)
+        self.branches = Parallel([
+            (f"branch{n}", conv_unit(kernel(n), cfg.out_channels,
+                                     cfg.out_channels, cfg.factorized))
             for n in BRANCH_SIZES
-        ]
+        ])
         self.merge = Conv3D(ConvSpec((1, 1, 1), 3 * cfg.out_channels,
                                      cfg.out_channels))
         if cfg.in_channels != cfg.out_channels:
@@ -102,29 +99,28 @@ class MultiScaleBlock(Layer):
         self.branch_maps = None
 
     def children(self):
-        named = [("initial", self.initial)]
-        named += [(f"branch{n}", b) for n, b in zip(BRANCH_SIZES, self.branches)]
-        named.append(("merge", self.merge))
+        named = [("initial", self.initial), *self.branches.children(),
+                 ("merge", self.merge)]
         if self.project is not None:
             named.append(("project", self.project))
         return named
 
     def out_shape(self, shape):
-        h = self.initial.out_shape(shape)
         merged = self.merge.out_shape(
-            _concat_shape([branch.out_shape(h) for branch in self.branches]))
+            self.branches.out_shape(self.initial.out_shape(shape)))
         if self.project is not None:
             self.project.out_shape(shape)
         return merged
 
     def forward(self, x, train=False, rng=None):
         h = self.initial.forward(x, train=train, rng=rng)
-        outs = [b.forward(h, train=train, rng=rng) for b in self.branches]
+        cat = self.branches.forward(h, train=train, rng=rng)
+        # views into the concat that `merge` keeps for backward anyway
         self.branch_maps = {
-            f"branch_{n}x{n}x{n}": out for n, out in zip(BRANCH_SIZES, outs)
+            f"branch_{n}x{n}x{n}": view
+            for n, view in zip(BRANCH_SIZES, self.branches.split(cat))
         }
-        merged = self.merge.forward(np.concatenate(outs, axis=3),
-                                    train=train, rng=rng)
+        merged = self.merge.forward(cat, train=train, rng=rng)
         if self.project is not None:
             residual = self.project.forward(x, train=train, rng=rng)
         else:
@@ -135,13 +131,7 @@ class MultiScaleBlock(Layer):
 
     def backward(self, grad):
         g = grad * self._relu_mask
-        gcat = self.merge.backward(g)
-        c = self.cfg.out_channels
-        gh = None
-        for i, branch in enumerate(self.branches):
-            gb = branch.backward(np.ascontiguousarray(gcat[..., i * c:(i + 1) * c]))
-            gh = gb if gh is None else gh + gb
-        gx = self.initial.backward(gh)
+        gx = self.initial.backward(self.branches.backward(self.merge.backward(g)))
         if self.project is not None:
             gx = gx + self.project.backward(g)
         else:
@@ -171,35 +161,19 @@ class Aspp(Layer):
             ImageLevelPool(),
             Conv3D(ConvSpec((1, 1, 1), cfg.in_channels, cfg.out_channels)),
         ])))
-        self.branches = branches
+        self.branches = Parallel(branches)
         self.merge = Conv3D(ConvSpec(
             (1, 1, 1), len(branches) * cfg.out_channels, cfg.out_channels))
 
     def children(self):
-        return list(self.branches) + [("merge", self.merge)]
+        return [*self.branches.children(), ("merge", self.merge)]
 
     def out_shape(self, shape):
-        return self.merge.out_shape(
-            _concat_shape([branch.out_shape(shape) for _, branch in self.branches]))
+        return self.merge.out_shape(self.branches.out_shape(shape))
 
     def forward(self, x, train=False, rng=None):
-        outs = [b.forward(x, train=train, rng=rng) for _, b in self.branches]
-        return self.merge.forward(np.concatenate(outs, axis=3),
+        return self.merge.forward(self.branches.forward(x, train=train, rng=rng),
                                   train=train, rng=rng)
 
     def backward(self, grad):
-        gcat = self.merge.backward(grad)
-        c = self.cfg.out_channels
-        gx = None
-        for i, (_, branch) in enumerate(self.branches):
-            gb = branch.backward(np.ascontiguousarray(gcat[..., i * c:(i + 1) * c]))
-            gx = gb if gx is None else gx + gb
-        return gx
-
-
-def build_multiscale_block(cfg: BlockConfig) -> MultiScaleBlock:
-    return MultiScaleBlock(cfg)
-
-
-def build_aspp(cfg: AsppConfig) -> Aspp:
-    return Aspp(cfg)
+        return self.branches.backward(self.merge.backward(grad))

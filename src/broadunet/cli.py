@@ -1,8 +1,9 @@
 """Command-line surface: synthesize, preprocess, train, evaluate, inspect.
 
 Exit codes: 0 success, 1 usage error, 2 data/format error, 3 numeric failure
-(e.g. a failed gradient check). Every run writes a JSON run manifest next to
-its outputs with the configuration, seed, wall time and artifact checksums.
+(a failed gradient check or a diverging training run). Every run writes a
+JSON run manifest next to its outputs with the configuration, seed, wall
+time and artifact checksums.
 """
 
 from __future__ import annotations
@@ -162,8 +163,7 @@ def cmd_train(args) -> int:
     checkpoint = os.path.join(args.out_dir, "checkpoint.btar")
     result = training.train(model, train_set, val_set, training.TrainConfig(
         loss=args.loss, learning_rate=args.lr, batch_size=args.batch,
-        max_epochs=args.epochs, dropout_rate=args.dropout, seed=args.seed,
-        checkpoint_path=checkpoint))
+        max_epochs=args.epochs, seed=args.seed, checkpoint_path=checkpoint))
     history_path = os.path.join(args.out_dir, "history.csv")
     training.save_history_csv(result.history, history_path)
     best = Model.load(checkpoint)
@@ -435,6 +435,9 @@ def run(argv) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
+    except FloatingPointError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

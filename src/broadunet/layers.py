@@ -11,6 +11,7 @@ Downsampling is done exclusively by spatial max pooling.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,21 +86,11 @@ class ConvSpec:
         return tuple((t // 2, t - t // 2) for t in total)
 
 
-def factorize_conv(spec: ConvSpec) -> list:
-    """Decompose a cubic N x N x N convolution into 1x1xN, 1xNx1, Nx1x1.
+def factor_specs(spec: ConvSpec) -> list:
+    """Per-axis factors for an arbitrary kernel, W then H then T axis order.
 
     The first factor takes spec.in_channels; subsequent factors run at
     spec.out_channels. The bias, when enabled, sits only on the last factor.
-    """
-    kt, kh, kw = spec.kernel
-    if not (kt == kh == kw) or kt <= 1:
-        raise ValueError(f"factorization needs a cubic kernel with N > 1, got {spec.kernel}")
-    return _factor_specs(spec)
-
-
-def _factor_specs(spec: ConvSpec) -> list:
-    """Per-axis factors for an arbitrary kernel, W then H then T axis order.
-
     Axes with extent 1 contribute no factor; an all-ones kernel is returned
     unchanged.
     """
@@ -332,6 +323,13 @@ class Layer:
             sub = f"{prefix}.{name}" if prefix else name
             yield from child.walk(sub)
 
+    def named(self, entries) -> dict:
+        """`entries(layer)` of every layer in walk order, one dict keyed
+        "<layer path>.<key>"."""
+        return {f"{lname}.{key}" if lname else key: value
+                for lname, layer in self.walk()
+                for key, value in entries(layer).items()}
+
     def accumulate(self, name, value):
         if name in self.grads:
             self.grads[name] += value
@@ -417,6 +415,49 @@ class Sequential(Layer):
         for layer in reversed(self.layers):
             grad = layer.backward(grad)
         return grad
+
+
+class Parallel(Layer):
+    """Named branches on one input, outputs concatenated on channels.
+
+    Backward slices the gradient per branch and sums the branch input
+    gradients left to right, in branch order.
+    """
+
+    def __init__(self, branches):
+        super().__init__()
+        self.named_branches = list(branches)
+        self._widths = None
+
+    def __len__(self):
+        return len(self.named_branches)
+
+    def children(self):
+        return list(self.named_branches)
+
+    def out_shape(self, shape):
+        shapes = [b.out_shape(shape) for _, b in self.named_branches]
+        if any(s[:-1] != shapes[0][:-1] for s in shapes):
+            raise ShapeError(f"branch outputs differ beyond channels: {shapes}")
+        return (*shapes[0][:-1], sum(s[-1] for s in shapes))
+
+    def forward(self, x, train=False, rng=None):
+        outs = [b.forward(x, train=train, rng=rng)
+                for _, b in self.named_branches]
+        self._widths = [out.shape[-1] for out in outs]
+        return np.concatenate(outs, axis=-1)
+
+    def split(self, y):
+        """Per-branch channel views of an output-shaped array."""
+        ends = list(itertools.accumulate(self._widths))
+        return [y[..., end - w:end] for w, end in zip(self._widths, ends)]
+
+    def backward(self, grad):
+        gx = None
+        for (_, branch), g in zip(self.named_branches, self.split(grad)):
+            gb = branch.backward(np.ascontiguousarray(g))
+            gx = gb if gx is None else gx + gb
+        return gx
 
 
 class MaxPoolSpatial(Layer):
@@ -539,7 +580,7 @@ def conv_unit(kernel, in_channels, out_channels, factorized,
                     dilation=dilation, padding=padding, bias=bias)
     if not factorized:
         return Conv3D(spec)
-    specs = _factor_specs(spec)
+    specs = factor_specs(spec)
     if len(specs) == 1:
         return Conv3D(specs[0])
     return Sequential([Conv3D(s) for s in specs])

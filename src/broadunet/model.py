@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .layers import (
     Dropout,
     Layer,
     MaxPoolSpatial,
+    Parallel,
     Sequential,
     UpsampleNearestSpatial,
 )
@@ -111,15 +112,21 @@ def mini_config(lags=2, height=16, width=16, features=1, base_filters=2,
 
 
 class _UNetBase(Layer):
-    """Shared encoder/decoder scaffolding; subclasses supply the level blocks."""
+    """Shared encoder/decoder scaffolding; subclasses supply the level blocks.
 
-    def __init__(self, cfg: ModelConfig):
+    Level i runs enc[i], then its temporally reduced skip and the pooled
+    deeper levels side by side (concatenated skip first), then dec[i]. The
+    bottom level is enc[4], the named bottleneck layers and reduce_mid.
+    """
+
+    def __init__(self, cfg: ModelConfig, bottleneck=()):
         super().__init__()
         self.cfg = cfg
         plan = cfg.channel_plan
         self.enc = [self._level_block(
             cfg.features if i == 0 else plan[i - 1], plan[i], cfg.lags)
             for i in range(LEVELS)]
+        self.bottleneck = list(bottleneck)
         self.pools = [MaxPoolSpatial() for _ in range(LEVELS - 1)]
         self.reduce_skip = [
             Conv3D(ConvSpec((cfg.lags, 1, 1), plan[i], plan[i], padding="valid"))
@@ -133,25 +140,22 @@ class _UNetBase(Layer):
         self.head = Conv3D(ConvSpec((1, 1, 1), plan[0], cfg.features))
         self.head_act = Activation(
             "sigmoid" if cfg.head == "binary" else "linear")
+        level = Sequential([self.enc[-1], *(b for _, b in self.bottleneck),
+                            self.reduce_mid])
+        for i in reversed(range(LEVELS - 1)):
+            down = Sequential([self.pools[i], level, self.ups[i]])
+            level = Sequential([
+                self.enc[i],
+                Parallel([("skip", self.reduce_skip[i]), ("down", down)]),
+                self.dec[i]])
+        self.graph = Sequential([level, self.head, self.head_act])
 
     def _level_block(self, in_channels, out_channels, time_extent) -> Layer:
         raise NotImplementedError
 
-    def _bottleneck_children(self):
-        return []
-
-    def _bottleneck_forward(self, h, train, rng):
-        return h
-
-    def _bottleneck_backward(self, grad):
-        return grad
-
-    def _bottleneck_out_shape(self, shape):
-        return shape
-
     def children(self):
         named = [(f"enc{i}", b) for i, b in enumerate(self.enc)]
-        named += self._bottleneck_children()
+        named += self.bottleneck
         named += [(f"reduce_skip{i}", r) for i, r in enumerate(self.reduce_skip)]
         named.append(("reduce_mid", self.reduce_mid))
         named += [(f"dec{i}", b) for i, b in enumerate(self.dec)]
@@ -164,123 +168,42 @@ class _UNetBase(Layer):
         if t != cfg.lags or c != cfg.features:
             raise ValueError(
                 f"expected input ({cfg.lags}, H, W, {cfg.features}), got {shape}")
-        s = shape
-        skip_shapes = []
-        for i in range(LEVELS):
-            s = self.enc[i].out_shape(s)
-            if i < LEVELS - 1:
-                skip_shapes.append(s)
-                s = self.pools[i].out_shape(s)
-        s = self._bottleneck_out_shape(s)
-        s = self.reduce_mid.out_shape(s)
-        for i in reversed(range(LEVELS - 1)):
-            s = self.ups[i].out_shape(s)
-            r = self.reduce_skip[i].out_shape(skip_shapes[i])
-            s = (*s[:3], r[3] + s[3])
-            s = self.dec[i].out_shape(s)
-        return self.head.out_shape(s)
+        return self.graph.out_shape(shape)
 
     def forward(self, x, train=False, rng=None):
-        h = x
-        skips = []
-        for i in range(LEVELS):
-            h = self.enc[i].forward(h, train=train, rng=rng)
-            if i < LEVELS - 1:
-                skips.append(h)
-                h = self.pools[i].forward(h, train=train, rng=rng)
-        h = self._bottleneck_forward(h, train, rng)
-        h = self.reduce_mid.forward(h, train=train, rng=rng)
-        self._skip_channels = []
-        for i in reversed(range(LEVELS - 1)):
-            h = self.ups[i].forward(h, train=train, rng=rng)
-            s = self.reduce_skip[i].forward(skips[i], train=train, rng=rng)
-            self._skip_channels.append(s.shape[3])
-            h = np.concatenate([s, h], axis=3)
-            h = self.dec[i].forward(h, train=train, rng=rng)
-        h = self.head.forward(h, train=train, rng=rng)
-        return self.head_act.forward(h, train=train, rng=rng)
+        return self.graph.forward(x, train=train, rng=rng)
 
     def backward(self, grad):
-        g = self.head_act.backward(grad)
-        g = self.head.backward(g)
-        skip_grads = {}
-        # decoder ran for i = LEVELS-2 .. 0; walk back up
-        for i in range(LEVELS - 1):
-            g = self.dec[i].backward(g)
-            cs = self._skip_channels[LEVELS - 2 - i]
-            gs = np.ascontiguousarray(g[..., :cs])
-            g = np.ascontiguousarray(g[..., cs:])
-            skip_grads[i] = self.reduce_skip[i].backward(gs)
-            g = self.ups[i].backward(g)
-        g = self.reduce_mid.backward(g)
-        g = self._bottleneck_backward(g)
-        g = self.enc[LEVELS - 1].backward(g)
-        for i in reversed(range(LEVELS - 1)):
-            g = self.pools[i].backward(g)
-            g = g + skip_grads[i]
-            g = self.enc[i].backward(g)
-        return g
+        return self.graph.backward(grad)
 
 
 class BroadUNet(_UNetBase):
     """Multi-scale blocks in encoder and decoder, ASPP + dropout bottleneck."""
 
     def __init__(self, cfg: ModelConfig):
-        self.aspp = Aspp(cfg.aspp_config())
-        self.dropout = Dropout(cfg.dropout_rate)
-        super().__init__(cfg)
+        super().__init__(cfg, bottleneck=[
+            ("aspp", Aspp(cfg.aspp_config())),
+            ("dropout", Dropout(cfg.dropout_rate)),
+        ])
 
     def _level_block(self, in_channels, out_channels, time_extent):
         return MultiScaleBlock(BlockConfig(
             in_channels, out_channels,
             factorized=self.cfg.factorized, time_extent=time_extent))
 
-    def _bottleneck_children(self):
-        return [("aspp", self.aspp)]
-
-    def _bottleneck_forward(self, h, train, rng):
-        h = self.aspp.forward(h, train=train, rng=rng)
-        return self.dropout.forward(h, train=train, rng=rng)
-
-    def _bottleneck_backward(self, grad):
-        return self.aspp.backward(self.dropout.backward(grad))
-
-    def _bottleneck_out_shape(self, shape):
-        return self.aspp.out_shape(shape)
-
-
-class _PlainBlock(Layer):
-    """Two plain 3x3 spatial convolutions, each followed by ReLU."""
-
-    def __init__(self, in_channels, out_channels, time_extent):
-        super().__init__()
-        kernel = (min(3, time_extent), 3, 3)
-        self.body = Sequential([
-            Conv3D(ConvSpec(kernel, in_channels, out_channels)),
-            Activation("relu"),
-            Conv3D(ConvSpec(kernel, out_channels, out_channels)),
-            Activation("relu"),
-        ])
-        self.out_channels = out_channels
-
-    def children(self):
-        return [("body", self.body)]
-
-    def out_shape(self, shape):
-        return self.body.out_shape(shape)
-
-    def forward(self, x, train=False, rng=None):
-        return self.body.forward(x, train=train, rng=rng)
-
-    def backward(self, grad):
-        return self.body.backward(grad)
-
 
 class PlainUNet(_UNetBase):
     """Classical UNet reference: double convs, no parallel branches, no ASPP."""
 
     def _level_block(self, in_channels, out_channels, time_extent):
-        return _PlainBlock(in_channels, out_channels, time_extent)
+        """Two plain 3x3 spatial convolutions, each followed by ReLU."""
+        kernel = (min(3, time_extent), 3, 3)
+        return Sequential([
+            Conv3D(ConvSpec(kernel, in_channels, out_channels)),
+            Activation("relu"),
+            Conv3D(ConvSpec(kernel, out_channels, out_channels)),
+            Activation("relu"),
+        ])
 
 
 class Model:
@@ -309,25 +232,13 @@ class Model:
         return self
 
     def named_param_shapes(self) -> dict:
-        shapes = {}
-        for lname, layer in self.root.walk():
-            for pname, shape in layer.param_shapes().items():
-                shapes[f"{lname}.{pname}" if lname else pname] = shape
-        return shapes
+        return self.root.named(lambda layer: layer.param_shapes())
 
     def named_params(self) -> dict:
-        out = {}
-        for lname, layer in self.root.walk():
-            for pname, arr in layer.params.items():
-                out[f"{lname}.{pname}" if lname else pname] = arr
-        return out
+        return self.root.named(lambda layer: layer.params)
 
     def named_grads(self) -> dict:
-        out = {}
-        for lname, layer in self.root.walk():
-            for pname, arr in layer.grads.items():
-                out[f"{lname}.{pname}" if lname else pname] = arr
-        return out
+        return self.root.named(lambda layer: layer.grads)
 
     def set_param(self, name: str, value: np.ndarray) -> None:
         lname, _, pname = name.rpartition(".")

@@ -1,75 +1,9 @@
-"""Dense rank-1..4 tensors in (T, H, W, C) axis order.
+"""The shape error every broadunet module raises.
 
-Tensors are plain numpy arrays in row-major layout with the channel axis
-fastest. Rank-3 arrays are interpreted as (H, W, C). All functions here are
-pure: inputs are never mutated and every call returns a fresh array.
+Tensors are plain numpy arrays in (T, H, W, C) axis order, row-major with
+the channel axis fastest.
 """
-
-from __future__ import annotations
-
-import numpy as np
-
-F32 = np.float32
-F64 = np.float64
-
-AXIS_T, AXIS_H, AXIS_W, AXIS_C = 0, 1, 2, 3
 
 
 class ShapeError(ValueError):
     """A shape, extent or rank is invalid for the requested operation."""
-
-
-def create(shape, fill=0.0, dtype=F32) -> np.ndarray:
-    """Allocate a tensor of `shape` with every element set to `fill`."""
-    shape = tuple(int(e) for e in shape)
-    if not 1 <= len(shape) <= 4:
-        raise ShapeError(f"rank must be 1..4, got {len(shape)}")
-    if any(e < 1 for e in shape):
-        raise ShapeError(f"extents must be >= 1, got {shape}")
-    return np.full(shape, fill, dtype=dtype)
-
-
-def pad(x: np.ndarray, pads, fill=0.0) -> np.ndarray:
-    """Pad `x` with one (before, after) pair per axis.
-
-    The original values occupy the interior block; the pad region is `fill`.
-    """
-    pads = [tuple(int(v) for v in p) for p in pads]
-    if len(pads) != x.ndim:
-        raise ValueError(f"need {x.ndim} pad pairs, got {len(pads)}")
-    if any(len(p) != 2 or p[0] < 0 or p[1] < 0 for p in pads):
-        raise ValueError(f"pad counts must be nonnegative pairs, got {pads}")
-    return np.pad(x, pads, mode="constant", constant_values=fill)
-
-
-def concat_channels(xs) -> np.ndarray:
-    """Concatenate tensors along the channel (last) axis."""
-    xs = list(xs)
-    if len(xs) < 2:
-        raise ValueError("concat needs at least 2 tensors")
-    lead = xs[0].shape[:-1]
-    for x in xs[1:]:
-        if x.ndim != xs[0].ndim or x.shape[:-1] != lead:
-            raise ValueError(
-                f"non-channel extents differ: {xs[0].shape} vs {x.shape}"
-            )
-    return np.concatenate(xs, axis=-1)
-
-
-def reduce(x: np.ndarray, axes, kind: str) -> np.ndarray:
-    """Reduce `x` over `axes` with `kind` in {mean, max, sum}.
-
-    Reduced axes collapse to extent 1.
-    """
-    axes = tuple(sorted(set(int(a) for a in axes)))
-    if not axes:
-        raise ValueError("axes must be nonempty")
-    if any(a < 0 or a >= x.ndim for a in axes):
-        raise ValueError(f"axis out of range for rank {x.ndim}: {axes}")
-    if kind == "mean":
-        return x.mean(axis=axes, keepdims=True)
-    if kind == "max":
-        return x.max(axis=axes, keepdims=True)
-    if kind == "sum":
-        return x.sum(axis=axes, keepdims=True)
-    raise ValueError(f"unknown reduction kind {kind!r}")

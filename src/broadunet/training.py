@@ -90,19 +90,16 @@ class TrainConfig:
     learning_rate: float = 1e-4
     batch_size: int = 2
     max_epochs: int = 10
-    dropout_rate: float = 0.5
     seed: int = 0
     checkpoint_path: str | None = None
 
     @classmethod
     def precipitation(cls, **kwargs) -> "TrainConfig":
-        return cls(loss="mse", learning_rate=1e-4, batch_size=2,
-                   dropout_rate=0.5, **kwargs)
+        return cls(loss="mse", learning_rate=1e-4, batch_size=2, **kwargs)
 
     @classmethod
     def cloud(cls, **kwargs) -> "TrainConfig":
-        return cls(loss="bce", learning_rate=1e-3, batch_size=8,
-                   dropout_rate=0.5, **kwargs)
+        return cls(loss="bce", learning_rate=1e-3, batch_size=8, **kwargs)
 
 
 @dataclass
@@ -156,6 +153,10 @@ def train(model, train_set, val_set, cfg: TrainConfig) -> TrainResult:
             adam_step(params, model.named_grads(), state, cfg.learning_rate)
         train_loss = epoch_loss / n
         val_loss = _mean_loss(model, val_set, loss_fn)
+        if not (np.isfinite(train_loss) and np.isfinite(val_loss)):
+            raise FloatingPointError(
+                f"training diverged in epoch {epoch}: train loss "
+                f"{train_loss}, val loss {val_loss}")
         history.append((epoch, train_loss, val_loss))
         if val_loss < best_val:
             best_epoch, best_val = epoch, val_loss
@@ -293,14 +294,8 @@ def grad_check(target, in_shape=None, x=None, tol=1e-4, step=1e-6,
 
     root.zero_grads()
     gx = root.backward(r.copy())
-    grads = {}
-    for lname, layer in root.walk():
-        for pname, g in layer.grads.items():
-            grads[f"{lname}.{pname}" if lname else pname] = g
-    params = {}
-    for lname, layer in root.walk():
-        for pname, p in layer.params.items():
-            params[f"{lname}.{pname}" if lname else pname] = p
+    grads = root.named(lambda layer: layer.grads)
+    params = root.named(lambda layer: layer.params)
 
     def objective():
         return float((fwd(x) * r).sum())

@@ -6,8 +6,6 @@ from broadunet.blocks import (
     AsppConfig,
     BlockConfig,
     MultiScaleBlock,
-    build_aspp,
-    build_multiscale_block,
 )
 from broadunet.layers import Conv3D
 from broadunet.training import grad_check
@@ -33,14 +31,14 @@ def conv_specs_of(layer):
 
 class TestMultiScaleBlock:
     def test_output_shape(self):
-        block = init_layer(build_multiscale_block(BlockConfig(
+        block = init_layer(MultiScaleBlock(BlockConfig(
             1, 4, factorized=False, time_extent=4)))
         x = np.random.default_rng(0).random((4, 16, 16, 1))
         y = block.forward(x)
         assert y.shape == (4, 16, 16, 4)
 
     def test_zero_weights_degenerate_to_relu(self):
-        block = init_layer(build_multiscale_block(BlockConfig(
+        block = init_layer(MultiScaleBlock(BlockConfig(
             3, 3, factorized=False, time_extent=2)))
         for _, layer in block.walk():
             for key in layer.params:
@@ -51,7 +49,7 @@ class TestMultiScaleBlock:
     def test_parameter_count_hand_summed(self):
         # in=2, out=4, unfactorized, full 3D kernels:
         # initial 27*2*4+4 = 220; branches 20, 436, 2004; merge 52; proj 12
-        block = build_multiscale_block(BlockConfig(
+        block = MultiScaleBlock(BlockConfig(
             2, 4, factorized=False, time_extent=5))
         assert layer_param_total(block) == 220 + 20 + 436 + 2004 + 52 + 12
         assert layer_param_total(block) == 2744
@@ -59,9 +57,9 @@ class TestMultiScaleBlock:
     def test_factorized_fewer_params_every_width(self):
         for out in (1, 2, 4, 8):
             for te in (1, 3, 5):
-                fact = layer_param_total(build_multiscale_block(
+                fact = layer_param_total(MultiScaleBlock(
                     BlockConfig(out, out, factorized=True, time_extent=te)))
-                full = layer_param_total(build_multiscale_block(
+                full = layer_param_total(MultiScaleBlock(
                     BlockConfig(out, out, factorized=False, time_extent=te)))
                 assert fact < full
 
@@ -69,7 +67,7 @@ class TestMultiScaleBlock:
         x = np.random.default_rng(2).random((3, 8, 8, 2))
         shapes = []
         for factorized in (True, False):
-            block = init_layer(build_multiscale_block(BlockConfig(
+            block = init_layer(MultiScaleBlock(BlockConfig(
                 2, 4, factorized=factorized, time_extent=3)))
             y = block.forward(x)
             g = block.backward(np.ones_like(y))
@@ -77,18 +75,18 @@ class TestMultiScaleBlock:
         assert shapes[0] == shapes[1]
 
     def test_time_extent_one_has_no_temporal_kernels(self):
-        block = build_multiscale_block(BlockConfig(2, 4, time_extent=1))
+        block = MultiScaleBlock(BlockConfig(2, 4, time_extent=1))
         assert all(spec.kernel[0] == 1 for _, spec in conv_specs_of(block))
 
     def test_preserves_thw(self):
-        block = init_layer(build_multiscale_block(BlockConfig(
+        block = init_layer(MultiScaleBlock(BlockConfig(
             2, 6, factorized=True, time_extent=4)))
         x = np.random.default_rng(3).random((4, 8, 8, 2))
         assert block.forward(x).shape == (4, 8, 8, 6)
 
     def test_shift_equivariance_interior(self):
         # receptive-field radius: initial 3x3 (1) + 5x5 branch (2) = 3
-        block = init_layer(build_multiscale_block(BlockConfig(
+        block = init_layer(MultiScaleBlock(BlockConfig(
             1, 2, factorized=False, time_extent=1)), seed=4)
         rng = np.random.default_rng(5)
         x = rng.standard_normal((1, 12, 12, 1))
@@ -100,16 +98,27 @@ class TestMultiScaleBlock:
             y[:, r:12 - r - 1, r:12 - r - 1], rtol=1e-10, atol=1e-12)
 
     def test_gradient_check(self):
-        block = build_multiscale_block(BlockConfig(2, 3, factorized=True,
-                                                   time_extent=2))
+        block = MultiScaleBlock(BlockConfig(2, 3, factorized=True,
+                                            time_extent=2))
         report = grad_check(block, in_shape=(2, 6, 6, 2), tol=1e-4, seed=23)
         assert report.passed, report
 
     def test_branch_maps_recorded(self):
-        block = init_layer(build_multiscale_block(BlockConfig(1, 2)))
+        block = init_layer(MultiScaleBlock(BlockConfig(1, 2)))
         block.forward(np.random.default_rng(6).random((1, 4, 4, 1)))
         assert set(block.branch_maps) == {
             "branch_1x1x1", "branch_3x3x3", "branch_5x5x5"}
+
+    def test_branch_maps_hold_branch_outputs(self):
+        block = init_layer(MultiScaleBlock(BlockConfig(2, 3, time_extent=2)))
+        x = np.random.default_rng(10).standard_normal((2, 6, 6, 2))
+        block.forward(x)
+        h = block.initial.forward(x)
+        expected = [branch.forward(h)
+                    for _, branch in block.branches.children()]
+        assert len(block.branch_maps) == len(block.branches) == 3
+        for got, want in zip(block.branch_maps.values(), expected):
+            np.testing.assert_array_equal(got, want)
 
     def test_invalid_channels(self):
         with pytest.raises(ValueError):
@@ -118,23 +127,23 @@ class TestMultiScaleBlock:
 
 class TestAspp:
     def test_default_branch_count(self):
-        aspp = build_aspp(AsppConfig(4, 4))
+        aspp = Aspp(AsppConfig(4, 4))
         assert len(aspp.branches) == 5  # pointwise + 3 dilated + image level
-        names = [name for name, _ in aspp.branches]
+        names = [name for name, _ in aspp.branches.children()]
         assert names == ["pointwise", "dilated6", "dilated12", "dilated18",
                          "image_level"]
 
     def test_without_pointwise_branch(self):
-        aspp = build_aspp(AsppConfig(4, 4, include_pointwise_branch=False))
+        aspp = Aspp(AsppConfig(4, 4, include_pointwise_branch=False))
         assert len(aspp.branches) == 4
 
     def test_no_temporal_mixing(self):
-        aspp = build_aspp(AsppConfig(2, 3))
+        aspp = Aspp(AsppConfig(2, 3))
         assert all(spec.kernel[0] == 1 and spec.dilation[0] == 1
                    for _, spec in conv_specs_of(aspp))
 
     def test_dilated_branch_effective_extent(self):
-        aspp = build_aspp(AsppConfig(1, 1))
+        aspp = Aspp(AsppConfig(1, 1))
         spec = dict(conv_specs_of(aspp))["dilated18"]
         assert spec.effective_extent == (1, 37, 37)
 
@@ -147,7 +156,7 @@ class TestAspp:
             AsppConfig(4, 4, dilation_rates=(6, 6, 12))
 
     def test_spatially_constant_input_stays_constant(self):
-        aspp = init_layer(build_aspp(AsppConfig(2, 3)), seed=7)
+        aspp = init_layer(Aspp(AsppConfig(2, 3)), seed=7)
         x = np.broadcast_to(
             np.random.default_rng(8).random((2, 1, 1, 2)), (2, 6, 6, 2)).copy()
         y = aspp.forward(x)
@@ -155,16 +164,16 @@ class TestAspp:
         assert float(np.abs(spread).max()) < 1e-9
 
     def test_preserves_thw(self):
-        aspp = init_layer(build_aspp(AsppConfig(3, 5)))
+        aspp = init_layer(Aspp(AsppConfig(3, 5)))
         x = np.random.default_rng(9).random((2, 4, 4, 3))
         assert aspp.forward(x).shape == (2, 4, 4, 5)
 
     def test_gradient_check(self):
-        aspp = build_aspp(AsppConfig(2, 2, dilation_rates=(2, 3)))
+        aspp = Aspp(AsppConfig(2, 2, dilation_rates=(2, 3)))
         report = grad_check(aspp, in_shape=(2, 6, 6, 2), tol=1e-4, seed=29)
         assert report.passed, report
 
     def test_param_count_matches_closed_form(self):
-        aspp = build_aspp(AsppConfig(3, 4))
+        aspp = Aspp(AsppConfig(3, 4))
         assert layer_param_total(aspp) == closed_form_conv_params(
             conv_specs_of(aspp))

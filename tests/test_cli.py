@@ -124,6 +124,15 @@ class TestTrain:
             blobs = [open(os.path.join(d, name), "rb").read() for d in dirs]
             assert blobs[0] == blobs[1], f"{name} differs between reruns"
 
+    def test_divergence_is_numeric_error(self, tmp_path, capsys):
+        out_dir = tmp_path / "diverged"
+        assert run(["train", "--task", "synth", "--hw", "16", "--train-n", "8",
+                    "--val-n", "4", "--test-n", "4", "--epochs", "3",
+                    "--lr", "1e6", "--out-dir", str(out_dir)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: training diverged in epoch 1")
+        assert not (out_dir / "checkpoint.btar").exists()
+
     def test_different_seed_changes_history(self, tmp_path):
         out = []
         for seed in ("21", "22"):
@@ -191,6 +200,20 @@ class TestPredict:
                     "--out", str(tmp_path / "x.pgm")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+    def test_samples_name_not_utf8_is_data_error(self, workspace, tmp_path,
+                                                  capsys):
+        with open(workspace["samples"], "rb") as f:
+            blob = f.read()
+        bad = tmp_path / "bad_samples.btar"
+        bad.write_bytes(blob.replace(b"targets", b"\xffargets", 1))
+        capsys.readouterr()
+        assert run(["predict", "--checkpoint", workspace["checkpoint"],
+                    "--samples", str(bad), "--out",
+                    str(tmp_path / "x.pgm")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "UTF-8" in err
 
 
 class TestParams:

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,22 @@ from broadunet.datapipe import (
 )
 from broadunet.pgm import read_pgm, write_pgm
 from broadunet.tensor import ShapeError
+
+
+def raw_archive(name: bytes, dims, payload=b"", code=1) -> bytes:
+    """One-record BTAR bytes written field by field, valid or not."""
+    return (b"BTAR" + struct.pack("<IIH", 1, 1, len(name)) + name
+            + struct.pack(f"<BB{len(dims)}Q", code, len(dims), *dims) + payload)
+
+
+VALID_ARCHIVE = raw_archive(b"x", (2, 1), struct.pack("<2f", 1.5, -2.0))
+
+
+def edited(edits, keep) -> bytes:
+    blob = bytearray(VALID_ARCHIVE)
+    for pos, value in edits:
+        blob[pos] = value
+    return bytes(blob[:keep])
 
 
 class TestArchive:
@@ -86,6 +104,38 @@ class TestArchive:
     def test_rejects_unsupported_dtype(self, tmp_path):
         with pytest.raises(ValueError, match="dtype"):
             archive_save(tmp_path / "t.btar", {"x": np.zeros(2, dtype=np.int32)})
+
+    @pytest.mark.parametrize("name,dims", [
+        (b"\xff\xfe", (2,)),
+        (b"x", (2 ** 62, 2 ** 62)),
+        (b"x", (2 ** 63 + 5,)),
+        (b"x", (0, 2 ** 63 + 5)),
+    ], ids=["name_not_utf8", "dims_product_beyond_int64", "dim_beyond_int64",
+            "zero_dim_beside_huge_dim"])
+    def test_malformed_record_is_format_error(self, tmp_path, name, dims):
+        path = tmp_path / "bad.btar"
+        path.write_bytes(raw_archive(name, dims, b"\x00" * 8))
+        with pytest.raises(FormatError):
+            archive_load(path)
+
+    @given(st.one_of(
+        st.binary(max_size=64),
+        st.binary(max_size=64).map(
+            lambda tail: b"BTAR" + struct.pack("<II", 1, 2) + tail),
+        st.builds(edited,
+                  st.lists(st.tuples(
+                      st.integers(0, len(VALID_ARCHIVE) - 1),
+                      st.integers(0, 255)), max_size=4),
+                  st.integers(0, len(VALID_ARCHIVE))),
+    ))
+    @settings(max_examples=300, deadline=None)
+    def test_any_bytes_load_or_format_error(self, tmp_path_factory, blob):
+        path = tmp_path_factory.getbasetemp() / "fuzz.btar"
+        path.write_bytes(blob)
+        try:
+            archive_load(path)
+        except FormatError:
+            pass
 
     def test_scalar_record(self, tmp_path):
         path = tmp_path / "s.btar"

@@ -13,8 +13,9 @@ from broadunet.layers import (
     UpsampleNearestSpatial,
     conv3d_backward,
     conv3d_forward,
+    Parallel,
     conv_unit,
-    factorize_conv,
+    factor_specs,
 )
 from broadunet.tensor import ShapeError
 from broadunet.training import grad_check
@@ -186,30 +187,33 @@ class TestConvBackward:
 
 class TestFactorize:
     def test_order_channels_and_bias(self):
-        specs = factorize_conv(ConvSpec((3, 3, 3), 4, 8))
+        specs = factor_specs(ConvSpec((3, 3, 3), 4, 8))
         assert [s.kernel for s in specs] == [(1, 1, 3), (1, 3, 1), (3, 1, 1)]
         assert [(s.in_channels, s.out_channels) for s in specs] == \
             [(4, 8), (8, 8), (8, 8)]
         assert [s.bias for s in specs] == [False, False, True]
 
     def test_dilation_carried_per_axis(self):
-        specs = factorize_conv(ConvSpec((3, 3, 3), 1, 1, dilation=(2, 3, 4)))
+        specs = factor_specs(ConvSpec((3, 3, 3), 1, 1, dilation=(2, 3, 4)))
         assert [s.dilation for s in specs] == [(1, 1, 4), (1, 3, 1), (2, 1, 1)]
 
     def test_weight_count_reduction(self):
         c = 6
         full = ConvSpec((5, 5, 5), c, c, bias=False)
-        factored = factorize_conv(ConvSpec((5, 5, 5), c, c, bias=False))
+        factored = factor_specs(ConvSpec((5, 5, 5), c, c, bias=False))
         assert full.param_count == 125 * c * c
         assert sum(s.param_count for s in factored) == 15 * c * c
 
-    def test_pointwise_rejected(self):
-        with pytest.raises(ValueError):
-            factorize_conv(ConvSpec((1, 1, 1), 1, 1))
+    def test_pointwise_unchanged(self):
+        spec = ConvSpec((1, 1, 1), 2, 3)
+        assert factor_specs(spec) == [spec]
 
-    def test_non_cubic_rejected(self):
-        with pytest.raises(ValueError):
-            factorize_conv(ConvSpec((1, 3, 3), 1, 1))
+    def test_non_cubic_factors_only_wide_axes(self):
+        specs = factor_specs(ConvSpec((1, 3, 5), 2, 4, dilation=(1, 2, 3)))
+        assert [(s.kernel, s.dilation) for s in specs] == \
+            [((1, 1, 5), (1, 1, 3)), ((1, 3, 1), (1, 2, 1))]
+        assert [(s.in_channels, s.bias) for s in specs] == \
+            [(2, False), (4, True)]
 
     def test_separable_kernel_reproduced(self):
         # outer-product kernel: the factor chain reproduces the full conv
@@ -220,7 +224,7 @@ class TestFactorize:
         spec = ConvSpec((3, 3, 3), 1, 1, bias=False)
         y_full, _ = conv3d_forward(x, full_w, None, spec)
         h = x
-        for factor_spec, taps in zip(factorize_conv(spec), (c, b, a)):
+        for factor_spec, taps in zip(factor_specs(spec), (c, b, a)):
             w = taps.reshape(factor_spec.weight_shape())
             h, _ = conv3d_forward(h, w, None, factor_spec)
         np.testing.assert_allclose(h, y_full, rtol=1e-6, atol=1e-9)
@@ -360,6 +364,35 @@ class TestImageLevelPool:
         assert report.passed, report
 
 
+class TestParallel:
+    def test_concat_in_branch_order(self):
+        layer = Parallel([("id", Activation("linear")),
+                          ("pool", ImageLevelPool())])
+        x = np.random.default_rng(12).random((2, 4, 4, 3))
+        y = layer.forward(x)
+        assert len(layer) == 2
+        assert layer.out_shape(x.shape) == y.shape == (2, 4, 4, 6)
+        np.testing.assert_array_equal(y[..., :3], x)
+        np.testing.assert_array_equal(
+            y[..., 3:], np.broadcast_to(x.mean(axis=(1, 2), keepdims=True),
+                                        x.shape))
+
+    def test_backward_sums_branch_grads(self):
+        layer = Parallel([("a", Activation("linear")),
+                          ("b", Activation("linear"))])
+        layer.forward(np.zeros((1, 2, 2, 1)))
+        grad = np.stack([np.full((1, 2, 2), 2.0), np.full((1, 2, 2), 3.0)],
+                        axis=-1)
+        np.testing.assert_array_equal(layer.backward(grad),
+                                      np.full((1, 2, 2, 1), 5.0))
+
+    def test_branch_extents_must_agree(self):
+        layer = Parallel([("same", Activation("linear")),
+                          ("pooled", MaxPoolSpatial())])
+        with pytest.raises(ShapeError):
+            layer.out_shape((1, 4, 4, 2))
+
+
 class TestPrimitiveGradChecks:
     """Every primitive layer passes finite differences at < 1e-4 in f64."""
 
@@ -384,6 +417,11 @@ class TestPrimitiveGradChecks:
             (2, 3, 3), 2, 2, dilation=(2, 2, 2), padding="valid")),
          (4, 7, 6, 2)),
         ("conv_pointwise", Conv3D(ConvSpec((1, 1, 1), 3, 2)), (2, 3, 4, 3)),
+        ("parallel_unequal_widths", Parallel([
+            ("a", Conv3D(ConvSpec((1, 3, 3), 2, 1))),
+            ("b", Conv3D(ConvSpec((2, 1, 1), 2, 3))),
+            ("c", ImageLevelPool()),
+        ]), (2, 5, 5, 2)),
     ])
     def test_layer(self, name, layer, shape):
         report = grad_check(layer, in_shape=shape, tol=1e-4, seed=17)

@@ -1,146 +1,77 @@
+"""Channel concatenation on (T, H, W, C) arrays.
+
+`layers.Parallel` is the one channel concat in the package; these cases
+pin its concat order, its per-branch slicing and the `ShapeError` that
+`broadunet.tensor` defines for mismatched extents.
+"""
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from broadunet import tensor
+from broadunet.layers import Activation, Layer, Parallel
 from broadunet.tensor import ShapeError
 
 
-class TestCreate:
-    def test_fill_zeros(self):
-        t = tensor.create((1, 2, 2, 1), 0.0)
-        assert t.shape == (1, 2, 2, 1)
-        assert np.all(t == 0.0)
+class _Fixed(Layer):
+    """A branch that outputs one given array whatever its input."""
 
-    def test_fill_value(self):
-        t = tensor.create((2, 3, 3, 2), 1.5)
-        assert t.size == 36
-        assert np.all(t == 1.5)
+    def __init__(self, value):
+        super().__init__()
+        self.value = value
 
-    def test_zero_extent_rejected(self):
-        with pytest.raises(ShapeError):
-            tensor.create((0, 2, 2, 1), 0.0)
+    def out_shape(self, shape):
+        return self.value.shape
 
-    def test_negative_extent_rejected(self):
-        with pytest.raises(ShapeError):
-            tensor.create((2, -1, 2, 1), 0.0)
+    def forward(self, x, train=False, rng=None):
+        self._in_shape = x.shape
+        return self.value
 
-    def test_rank_limits(self):
-        with pytest.raises(ShapeError):
-            tensor.create((2, 2, 2, 2, 2), 0.0)
+    def backward(self, grad):
+        return np.zeros(self._in_shape)
 
 
-class TestPad:
-    def test_center_value(self):
-        x = np.array([[[[5.0]]]])
-        y = tensor.pad(x, [(0, 0), (1, 1), (1, 1), (0, 0)])
-        assert y.shape == (1, 3, 3, 1)
-        assert y[0, 1, 1, 0] == 5.0
-        assert y.sum() == 5.0
-
-    def test_zero_padding_identity(self):
-        x = np.arange(8.0).reshape(1, 2, 2, 2)
-        y = tensor.pad(x, [(0, 0)] * 4)
-        np.testing.assert_array_equal(x, y)
-
-    def test_width_pad_hand_enumeration(self):
-        x = np.array([[[[1.0], [2.0]], [[3.0], [4.0]]]])  # 1x2x2x1
-        y = tensor.pad(x, [(0, 0), (0, 0), (1, 0), (0, 0)])
-        np.testing.assert_array_equal(y[0, 0, :, 0], [0.0, 1.0, 2.0])
-        np.testing.assert_array_equal(y[0, 1, :, 0], [0.0, 3.0, 4.0])
-
-    def test_rank_mismatch(self):
-        with pytest.raises(ValueError):
-            tensor.pad(np.zeros((2, 2)), [(1, 1)])
-
-    def test_input_not_mutated(self):
-        x = np.ones((1, 2, 2, 1))
-        before = x.copy()
-        tensor.pad(x, [(1, 1)] * 4, fill=7.0)
-        np.testing.assert_array_equal(x, before)
-
-    @given(st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4),
-                     st.integers(1, 3)),
-           st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
-                    min_size=4, max_size=4))
-    @settings(max_examples=40, deadline=None)
-    def test_pad_interior_round_trip(self, shape, pads):
-        x = np.random.default_rng(0).random(shape)
-        y = tensor.pad(x, pads)
-        interior = tuple(slice(b, b + s) for (b, _), s in zip(pads, shape))
-        np.testing.assert_array_equal(y[interior], x)
+def concat_channels(parts):
+    layer = Parallel([(f"p{i}", _Fixed(p)) for i, p in enumerate(parts)])
+    return layer, layer.forward(np.zeros((1, 1, 1, 1)))
 
 
 class TestConcatChannels:
     def test_channel_sum(self):
         a = np.zeros((2, 3, 3, 2))
         b = np.ones((2, 3, 3, 3))
-        y = tensor.concat_channels([a, b])
+        layer, y = concat_channels([a, b])
         assert y.shape == (2, 3, 3, 5)
+        assert layer.out_shape((1, 1, 1, 1)) == (2, 3, 3, 5)
 
     def test_self_concat_blocks(self):
         x = np.random.default_rng(1).random((1, 2, 2, 3))
-        y = tensor.concat_channels([x, x])
+        layer = Parallel([("a", Activation("linear")),
+                          ("b", Activation("linear"))])
+        y = layer.forward(x)
         np.testing.assert_array_equal(y[..., :3], x)
         np.testing.assert_array_equal(y[..., 3:], x)
 
     def test_scalar_channels(self):
         a = np.full((1, 1, 1, 1), 7.0)
         b = np.full((1, 1, 1, 1), 9.0)
-        y = tensor.concat_channels([a, b])
+        _, y = concat_channels([a, b])
         np.testing.assert_array_equal(y[0, 0, 0], [7.0, 9.0])
 
     def test_spatial_mismatch(self):
+        parts = [np.zeros((1, 2, 2, 1)), np.zeros((1, 3, 2, 1))]
+        layer = Parallel([(f"p{i}", _Fixed(p)) for i, p in enumerate(parts)])
+        with pytest.raises(ShapeError):
+            layer.out_shape((1, 1, 1, 1))
         with pytest.raises(ValueError):
-            tensor.concat_channels([np.zeros((1, 2, 2, 1)),
-                                    np.zeros((1, 3, 2, 1))])
-
-    def test_single_input_rejected(self):
-        with pytest.raises(ValueError):
-            tensor.concat_channels([np.zeros((1, 2, 2, 1))])
+            layer.forward(np.zeros((1, 1, 1, 1)))
 
     def test_per_block_slice_round_trip(self):
         rng = np.random.default_rng(2)
         parts = [rng.random((2, 3, 3, c)) for c in (1, 2, 4)]
-        y = tensor.concat_channels(parts)
+        layer, y = concat_channels(parts)
         offset = 0
         for part in parts:
             c = part.shape[-1]
             np.testing.assert_array_equal(y[..., offset:offset + c], part)
             offset += c
-
-
-class TestReduce:
-    def test_mean_hw(self):
-        x = np.array([[[[1.0], [2.0]], [[3.0], [4.0]]]])
-        y = tensor.reduce(x, (1, 2), "mean")
-        assert y.shape == (1, 1, 1, 1)
-        assert y.item() == 2.5
-
-    def test_max_hw(self):
-        x = np.array([[[[1.0], [2.0]], [[3.0], [4.0]]]])
-        assert tensor.reduce(x, (1, 2), "max").item() == 4.0
-
-    def test_sum_all(self):
-        x = np.ones((2, 2, 2, 2))
-        assert tensor.reduce(x, (0, 1, 2, 3), "sum").item() == 16.0
-
-    def test_mean_equals_sum_over_count(self):
-        x = np.random.default_rng(3).random((3, 4, 5, 2))
-        mean = tensor.reduce(x, (1, 2), "mean")
-        summed = tensor.reduce(x, (1, 2), "sum") / 20.0
-        np.testing.assert_allclose(mean, summed, rtol=1e-12)
-
-    def test_invalid_axis(self):
-        with pytest.raises(ValueError):
-            tensor.reduce(np.zeros((2, 2)), (5,), "mean")
-
-    def test_empty_axes(self):
-        with pytest.raises(ValueError):
-            tensor.reduce(np.zeros((2, 2)), (), "mean")
-
-    def test_finite_outputs(self):
-        x = np.random.default_rng(4).standard_normal((2, 4, 4, 3))
-        for kind in ("mean", "max", "sum"):
-            assert np.isfinite(tensor.reduce(x, (0, 1), kind)).all()
+        for view, part in zip(layer.split(y), parts):
+            np.testing.assert_array_equal(view, part)

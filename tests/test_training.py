@@ -178,7 +178,6 @@ class TestTrainLoop:
         assert TrainConfig.cloud().loss == "bce"
         assert TrainConfig.cloud().learning_rate == 1e-3
         assert TrainConfig.cloud().batch_size == 8
-        assert TrainConfig.cloud().dropout_rate == 0.5
 
     def test_history_csv_round_trip(self, tmp_path):
         history = [(1, 0.1 + 1e-17, 0.25), (2, 1.0 / 3.0, 0.125)]
