@@ -11,6 +11,7 @@ dtype codes: 1 = f32, 2 = f64, 3 = u8. Round trips are bit-exact.
 from __future__ import annotations
 
 import math
+import os
 import struct
 
 import numpy as np
@@ -56,45 +57,56 @@ def archive_save(path, records: dict) -> None:
 
 
 def archive_load(path) -> dict:
-    """Read all records from `path`; raises FormatError on malformed input."""
+    """Read all records from `path`; raises FormatError on malformed input.
+
+    Each payload is checked against the file size, then read straight into
+    its own fresh array.
+    """
     with open(path, "rb") as f:
-        data = f.read()
+        size = os.fstat(f.fileno()).st_size
+        offset = 0
 
-    offset = 0
+        def take(n, what):
+            nonlocal offset
+            chunk = f.read(n)
+            if len(chunk) != n:
+                raise FormatError(f"truncated archive: {what} at offset {offset}")
+            offset += n
+            return chunk
 
-    def take(n, what):
-        nonlocal offset
-        if offset + n > len(data):
-            raise FormatError(f"truncated archive: {what} at offset {offset}")
-        chunk = data[offset:offset + n]
-        offset += n
-        return chunk
-
-    if take(4, "magic") != MAGIC:
-        raise FormatError("bad magic at offset 0")
-    version, count = struct.unpack("<II", take(8, "header"))
-    if version != VERSION:
-        raise FormatError(f"unsupported version {version} at offset 4")
-    records = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack("<H", take(2, "name length"))
-        try:
-            name = take(name_len, "name").decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(
-                f"record name is not UTF-8 at offset {offset - name_len}") from exc
-        code, rank = struct.unpack("<BB", take(2, "dtype/rank"))
-        if code not in _DTYPE_CODES:
-            raise FormatError(f"unknown dtype code {code} at offset {offset - 2}")
-        dims = struct.unpack(f"<{rank}Q", take(8 * rank, "dims"))
-        dtype = _DTYPE_CODES[code]
-        # Python ints cannot overflow, so huge dims fail the length check
-        payload = take(math.prod(dims) * dtype.itemsize, f"payload of {name!r}")
-        if name in records:
-            raise FormatError(f"duplicate record name {name!r} at offset {offset}")
-        try:
-            records[name] = np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
-        except ValueError as exc:  # a zero dim beside dims numpy cannot index
-            raise FormatError(
-                f"unsupported dims {dims} of {name!r} at offset {offset}") from exc
+        if take(4, "magic") != MAGIC:
+            raise FormatError("bad magic at offset 0")
+        version, count = struct.unpack("<II", take(8, "header"))
+        if version != VERSION:
+            raise FormatError(f"unsupported version {version} at offset 4")
+        records = {}
+        for _ in range(count):
+            (name_len,) = struct.unpack("<H", take(2, "name length"))
+            try:
+                name = take(name_len, "name").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FormatError(
+                    f"record name is not UTF-8 at offset {offset - name_len}") from exc
+            code, rank = struct.unpack("<BB", take(2, "dtype/rank"))
+            if code not in _DTYPE_CODES:
+                raise FormatError(f"unknown dtype code {code} at offset {offset - 2}")
+            dims = struct.unpack(f"<{rank}Q", take(8 * rank, "dims"))
+            dtype = _DTYPE_CODES[code]
+            # Python ints cannot overflow, so huge dims fail the size check
+            # before anything is allocated
+            nbytes = math.prod(dims) * dtype.itemsize
+            truncated = f"truncated archive: payload of {name!r} at offset {offset}"
+            if offset + nbytes > size:
+                raise FormatError(truncated)
+            offset += nbytes
+            if name in records:
+                raise FormatError(f"duplicate record name {name!r} at offset {offset}")
+            try:
+                arr = np.empty(dims, dtype=dtype)
+            except ValueError as exc:  # a zero dim beside dims numpy cannot index
+                raise FormatError(
+                    f"unsupported dims {dims} of {name!r} at offset {offset}") from exc
+            if f.readinto(arr.reshape(-1).view(np.uint8)) != nbytes:
+                raise FormatError(truncated)  # the file shrank meanwhile
+            records[name] = arr
     return records

@@ -460,11 +460,22 @@ class Parallel(Layer):
         return gx
 
 
+# (row, column) offset of each element of a 2x2 window, row-major
+_WINDOW = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def _bits(a):
+    """Unsigned-integer view of `a`, for selecting values bit for bit."""
+    return a.view(f"u{a.itemsize}")
+
+
 class MaxPoolSpatial(Layer):
     """2x2 spatial max pooling, stride 2; T and C pass through.
 
     Ties route the gradient to the first maximal element in row-major
-    window order, which keeps gradient checks deterministic.
+    window order, which keeps gradient checks deterministic. A NaN counts
+    as maximal, as in `np.argmax`. The output holds that element's bits,
+    so the sign of a zero maximum is the first zero's.
     """
 
     def out_shape(self, shape):
@@ -474,24 +485,35 @@ class MaxPoolSpatial(Layer):
         return (t, h // 2, w // 2, c)
 
     def forward(self, x, train=False, rng=None):
-        t, h, w, c = x.shape
+        _, h, w, _ = x.shape
         if h % 2 or w % 2:
             raise ShapeError(f"H and W must be even for 2x2 pooling, got {h}x{w}")
-        windows = x.reshape(t, h // 2, 2, w // 2, 2, c)
-        windows = windows.transpose(0, 1, 3, 5, 2, 4).reshape(t, h // 2, w // 2, c, 4)
-        # argmax returns the first maximum, i.e. row-major tie-breaking
-        self._argmax = windows.argmax(axis=-1)
+        # the four window elements are the strided views x[:, i::2, j::2];
+        # a later one replaces the running maximum only when it is greater.
+        # The value is selected by its bits, since np.maximum may return
+        # either zero of a -0.0/+0.0 tie.
+        y = x[:, 0::2, 0::2].copy()
+        y_bits, x_bits = _bits(y), _bits(x)
+        index = np.zeros(y.shape, dtype=np.uint8)
+        for k, (i, j) in enumerate(_WINDOW[1:], 1):
+            later = x[:, i::2, j::2]
+            better = ~(later <= y)  # also true for a NaN against a number
+            better &= y == y        # a NaN maximum stays
+            np.maximum(index, better * np.uint8(k), out=index)
+            y_bits ^= (y_bits ^ x_bits[:, i::2, j::2]) & -better.astype(y_bits.dtype)
+        self._index = index
         self._in_shape = x.shape
-        return np.take_along_axis(
-            windows, self._argmax[..., None], axis=-1)[..., 0]
+        return y
 
     def backward(self, grad):
-        t, h, w, c = self._in_shape
-        scattered = np.zeros((t, h // 2, w // 2, c, 4), dtype=grad.dtype)
-        np.put_along_axis(scattered, self._argmax[..., None], grad[..., None], axis=-1)
-        scattered = scattered.reshape(t, h // 2, w // 2, c, 2, 2)
-        return np.ascontiguousarray(
-            scattered.transpose(0, 1, 4, 2, 5, 3).reshape(t, h, w, c))
+        gx = np.empty(self._in_shape, dtype=grad.dtype)
+        g_bits, gx_bits = _bits(grad), _bits(gx)
+        # every input element lies in exactly one view; the mask keeps the
+        # gradient bits at the window's maximum and writes +0 elsewhere
+        for k, (i, j) in enumerate(_WINDOW):
+            mask = -(self._index == k).astype(g_bits.dtype)
+            np.bitwise_and(g_bits, mask, out=gx_bits[:, i::2, j::2])
+        return gx
 
 
 class UpsampleNearestSpatial(Layer):

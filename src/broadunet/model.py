@@ -8,6 +8,7 @@ runs on 2D data. Input (T, H, W, F) maps to output (1, H, W, F).
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from dataclasses import dataclass
@@ -240,15 +241,17 @@ class Model:
     def named_grads(self) -> dict:
         return self.root.named(lambda layer: layer.grads)
 
+    @functools.cached_property
+    def _param_owners(self) -> dict:
+        """Parameter name -> (owning layer, key in its params), one walk."""
+        return self.root.named(
+            lambda layer: {key: (layer, key) for key in layer.param_shapes()})
+
     def set_param(self, name: str, value: np.ndarray) -> None:
-        lname, _, pname = name.rpartition(".")
-        for walked, layer in self.root.walk():
-            if walked == lname and pname in layer.param_shapes():
-                if tuple(value.shape) != tuple(layer.param_shapes()[pname]):
-                    raise ValueError(f"shape mismatch for {name}")
-                layer.params[pname] = value
-                return
-        raise KeyError(name)
+        layer, key = self._param_owners[name]
+        if tuple(value.shape) != tuple(layer.param_shapes()[key]):
+            raise ValueError(f"shape mismatch for {name}")
+        layer.params[key] = value
 
     def zero_grads(self) -> None:
         self.root.zero_grads()
@@ -317,6 +320,8 @@ class Model:
 
     @classmethod
     def load(cls, path) -> "Model":
+        """Build the checkpoint's architecture and fill every parameter
+        from its records; nothing is initialized randomly."""
         records = archive_load(path)
         try:
             manifest = json.loads(
@@ -325,13 +330,19 @@ class Model:
             builder = {"broad-unet": build_broad_unet, "unet": build_plain_unet}
             model = builder[manifest["arch"]](cfg)
             dtype = {"f32": np.float32, "f64": np.float64}[manifest["elem_type"]]
-            model.initialize(seed=0, dtype=dtype)
             for name in manifest["param_names"]:
                 model.set_param(name, records[name].astype(dtype, copy=False))
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(
                 f"bad checkpoint manifest in {path}: "
                 f"{type(exc).__name__}: {exc}") from exc
+        missing = [name for name, (layer, key) in model._param_owners.items()
+                   if key not in layer.params]
+        if missing:
+            raise FormatError(
+                f"checkpoint {path} lacks {len(missing)} parameter(s) of its "
+                f"architecture: {', '.join(missing)}")
+        model.dtype = np.dtype(dtype)
         return model
 
 

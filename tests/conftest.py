@@ -34,6 +34,28 @@ def naive_conv3d(x, weights, bias, spec):
     return y
 
 
+def naive_maxpool(x, grad):
+    """2x2 stride-2 spatial max pooling oracle (explicit loops).
+
+    Returns (y, grad_x): each output is the first maximal element of its
+    window in row-major order, bit for bit, and grad_x routes `grad` to
+    that element only.
+    """
+    t, h, w, c = x.shape
+    y = np.empty((t, h // 2, w // 2, c), dtype=x.dtype)
+    gx = np.zeros(x.shape, dtype=grad.dtype)
+    for n, i, j, ch in itertools.product(range(t), range(h // 2),
+                                         range(w // 2), range(c)):
+        best = None
+        for di, dj in itertools.product(range(2), range(2)):
+            pos = (n, 2 * i + di, 2 * j + dj, ch)
+            if best is None or x[pos] > x[best]:
+                best = pos
+        y[n, i, j, ch] = x[best]
+        gx[best] = grad[n, i, j, ch]
+    return y, gx
+
+
 def closed_form_conv_params(specs):
     """Spreadsheet-style parameter count over a list of (name, ConvSpec)."""
     total = 0

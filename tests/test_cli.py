@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -133,6 +135,25 @@ class TestTrain:
         assert err.startswith("error: training diverged in epoch 1")
         assert not (out_dir / "checkpoint.btar").exists()
 
+    def test_divergence_prints_no_numpy_warnings(self, tmp_path, capfd):
+        # a child process shows stderr exactly as a user sees it, without
+        # the test runner's own warning capture
+        import broadunet
+        src = os.path.dirname(os.path.dirname(broadunet.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from broadunet.cli import run; "
+             "sys.exit(run(sys.argv[1:]))",
+             "train", "--task", "synth", "--hw", "16", "--train-n", "8",
+             "--val-n", "4", "--test-n", "4", "--epochs", "3",
+             "--lr", "1e6", "--out-dir", str(tmp_path / "diverged")],
+            env=env).returncode
+        err = capfd.readouterr().err
+        assert code == 3
+        assert err.startswith("error: training diverged in epoch 1")
+        assert "RuntimeWarning" not in err
+
     def test_different_seed_changes_history(self, tmp_path):
         out = []
         for seed in ("21", "22"):
@@ -201,6 +222,39 @@ class TestPredict:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
+
+    def _predict_with_edited_checkpoint(self, workspace, tmp_path, capsys,
+                                        drop_listed, drop_record):
+        records = archive_load(workspace["checkpoint"])
+        manifest = json.loads(bytes(records["__manifest__"]).decode("utf-8"))
+        if drop_listed:
+            manifest["param_names"].remove(drop_listed)
+        records["__manifest__"] = np.frombuffer(
+            json.dumps(manifest).encode("utf-8"), dtype=np.uint8)
+        del records[drop_record]
+        bad = str(tmp_path / "bad.btar")
+        archive_save(bad, records)
+        capsys.readouterr()
+        code = run(["predict", "--checkpoint", bad,
+                    "--samples", workspace["samples"], "--index", "0",
+                    "--out", str(tmp_path / "x.pgm")])
+        return code, capsys.readouterr().err
+
+    def test_missing_parameter_is_data_error(self, workspace, tmp_path, capsys):
+        name = "enc0.initial.0.w"
+        code, err = self._predict_with_edited_checkpoint(
+            workspace, tmp_path, capsys, drop_listed=name, drop_record=name)
+        assert code == 2
+        assert err.startswith("error: ") and name in err
+        assert not (tmp_path / "x.pgm").exists()
+
+    def test_listed_parameter_without_record_is_data_error(
+            self, workspace, tmp_path, capsys):
+        name = "head.b"
+        code, err = self._predict_with_edited_checkpoint(
+            workspace, tmp_path, capsys, drop_listed=None, drop_record=name)
+        assert code == 2
+        assert err.startswith("error: ") and name in err
 
     def test_samples_name_not_utf8_is_data_error(self, workspace, tmp_path,
                                                   capsys):

@@ -137,6 +137,27 @@ class TestArchive:
         except FormatError:
             pass
 
+    def test_loaded_records_are_fresh_aligned_arrays(self, tmp_path):
+        path = tmp_path / "kinds.btar"
+        records = {
+            "f32": np.arange(6, dtype=np.float32).reshape(2, 3),
+            "f64": np.linspace(-1.0, 1.0, 5),
+            "u8": np.arange(7, dtype=np.uint8),
+            "scalar": np.float64(2.5),
+            "empty": np.zeros((0, 4), dtype=np.float32),
+        }
+        archive_save(path, records)
+        loaded = archive_load(path)
+        for name, arr in loaded.items():
+            assert arr.flags.writeable, name
+            assert arr.flags.c_contiguous, name
+            assert arr.flags.aligned, name
+            assert arr.base is None, name
+            np.testing.assert_array_equal(arr, records[name])
+        # writing one record leaves the others untouched
+        loaded["u8"][:] = 255
+        np.testing.assert_array_equal(loaded["f32"], records["f32"])
+
     def test_scalar_record(self, tmp_path):
         path = tmp_path / "s.btar"
         archive_save(path, {"s": np.float64(3.5)})

@@ -20,7 +20,7 @@ from broadunet.layers import (
 from broadunet.tensor import ShapeError
 from broadunet.training import grad_check
 
-from conftest import naive_conv3d
+from conftest import naive_conv3d, naive_maxpool
 
 
 class TestConvSpec:
@@ -253,6 +253,44 @@ class TestMaxPool:
         pool.forward(x)
         gx = pool.backward(np.ones((1, 1, 1, 1)))
         np.testing.assert_array_equal(gx[0, :, :, 0], [[1.0, 0.0], [0.0, 0.0]])
+
+    @pytest.mark.parametrize("shape", [
+        (1, 2, 2, 1), (2, 4, 6, 3), (3, 8, 8, 2), (1, 16, 4, 5),
+    ])
+    @pytest.mark.parametrize("values", ["normal", "integer_ties"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_naive_oracle_bitwise(self, shape, values, dtype):
+        rng = np.random.default_rng(sum(shape))
+        x = rng.standard_normal(shape)
+        if values == "integer_ties":
+            # mostly equal values; rounding also leaves signed zeros
+            x = np.round(x * 0.7)
+        x = x.astype(dtype)
+        grad = rng.standard_normal((shape[0], shape[1] // 2, shape[2] // 2,
+                                    shape[3])).astype(dtype)
+        want_y, want_gx = naive_maxpool(x, grad)
+        pool = MaxPoolSpatial()
+        y = pool.forward(x)
+        gx = pool.backward(grad)
+        assert y.dtype == dtype and gx.dtype == dtype
+        assert y.tobytes() == want_y.tobytes()
+        assert gx.tobytes() == want_gx.tobytes()
+
+    def test_signed_zero_tie_keeps_first(self):
+        x = np.array([-1.0, -0.0, 0.0, -2.0]).reshape(1, 2, 2, 1)
+        pool = MaxPoolSpatial()
+        y = pool.forward(x)
+        assert y.item() == 0.0 and np.signbit(y.item())
+        gx = pool.backward(np.full((1, 1, 1, 1), -3.0))
+        assert gx.ravel().tolist() == [0.0, -3.0, 0.0, 0.0]
+        assert not np.signbit(gx.ravel()[[0, 2, 3]]).any()
+
+    def test_nan_is_maximal_as_in_argmax(self):
+        x = np.array([1.0, np.nan, 5.0, np.nan]).reshape(1, 2, 2, 1)
+        pool = MaxPoolSpatial()
+        assert np.isnan(pool.forward(x).item())
+        gx = pool.backward(np.ones((1, 1, 1, 1)))
+        assert gx.ravel().tolist() == [0.0, 1.0, 0.0, 0.0]
 
     def test_finite_difference_non_tied(self):
         report = grad_check(MaxPoolSpatial(), in_shape=(2, 6, 6, 2), seed=21)
