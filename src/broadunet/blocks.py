@@ -6,8 +6,6 @@ Both preserve (T, H, W) through same padding; only the channel count changes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .layers import (
@@ -21,49 +19,8 @@ from .layers import (
 )
 
 
-@dataclass(frozen=True)
-class BlockConfig:
-    """Configuration of one multi-scale feature convolutional block.
-
-    time_extent is the temporal extent of the data the block sees: the input
-    lag count for encoder blocks, 1 for decoder blocks. Temporal kernel
-    extents are clamped to min(N, time_extent).
-    """
-
-    in_channels: int
-    out_channels: int
-    factorized: bool = True
-    time_extent: int = 1
-
-    def __post_init__(self):
-        if self.in_channels < 1 or self.out_channels < 1:
-            raise ValueError("channel counts must be positive")
-        if self.time_extent < 1:
-            raise ValueError("time_extent must be positive")
-
-
-@dataclass(frozen=True)
-class AsppConfig:
-    in_channels: int
-    out_channels: int
-    dilation_rates: tuple = (6, 12, 18)
-    include_pointwise_branch: bool = True
-    spatial_kernel: int = 3
-
-    def __post_init__(self):
-        rates = tuple(int(r) for r in self.dilation_rates)
-        object.__setattr__(self, "dilation_rates", rates)
-        if self.in_channels < 1 or self.out_channels < 1:
-            raise ValueError("channel counts must be positive")
-        if not rates:
-            raise ValueError("dilation rate list must be nonempty")
-        if any(r < 1 for r in rates) or len(set(rates)) != len(rates):
-            raise ValueError(f"dilation rates must be distinct and >= 1, got {rates}")
-        if self.spatial_kernel < 1:
-            raise ValueError("spatial_kernel must be positive")
-
-
 BRANCH_SIZES = (1, 3, 5)
+ASPP_RATES = (6, 12, 18)
 
 
 class MultiScaleBlock(Layer):
@@ -72,28 +29,31 @@ class MultiScaleBlock(Layer):
     The residual connection taps the block input; a pointwise projection is
     inserted when in/out channel counts differ. After each forward pass the
     per-branch activations stay available in `branch_maps` for inspection.
+
+    time_extent is the temporal extent of the data the block sees: the input
+    lag count for encoder blocks, 1 for decoder blocks. Temporal kernel
+    extents are clamped to min(N, time_extent).
     """
 
-    def __init__(self, cfg: BlockConfig):
+    def __init__(self, in_channels, out_channels, factorized=True,
+                 time_extent=1):
         super().__init__()
-        self.cfg = cfg
-        te = cfg.time_extent
 
         def kernel(n):
-            return (min(n, te), n, n)
+            return (min(n, time_extent), n, n)
 
-        self.initial = conv_unit(kernel(3), cfg.in_channels, cfg.out_channels,
-                                 cfg.factorized)
+        self.initial = conv_unit(kernel(3), in_channels, out_channels,
+                                 factorized)
         self.branches = Parallel([
-            (f"branch{n}", conv_unit(kernel(n), cfg.out_channels,
-                                     cfg.out_channels, cfg.factorized))
+            (f"branch{n}", conv_unit(kernel(n), out_channels, out_channels,
+                                     factorized))
             for n in BRANCH_SIZES
         ])
-        self.merge = Conv3D(ConvSpec((1, 1, 1), 3 * cfg.out_channels,
-                                     cfg.out_channels))
-        if cfg.in_channels != cfg.out_channels:
-            self.project = Conv3D(ConvSpec((1, 1, 1), cfg.in_channels,
-                                           cfg.out_channels))
+        self.merge = Conv3D(ConvSpec((1, 1, 1), 3 * out_channels,
+                                     out_channels))
+        if in_channels != out_channels:
+            self.project = Conv3D(ConvSpec((1, 1, 1), in_channels,
+                                           out_channels))
         else:
             self.project = None
         self.branch_maps = None
@@ -140,30 +100,27 @@ class MultiScaleBlock(Layer):
 
 
 class Aspp(Layer):
-    """Parallel spatial-only dilated convolutions plus an image-level branch.
+    """The DeepLabv3 pyramid: a pointwise branch, 3x3 atrous branches at
+    `ASPP_RATES` and an image-level branch, concatenated and merged.
 
-    Kernels are 1 x N x N throughout, so no temporal mixing happens here.
+    Kernels are spatial only (1 x 3 x 3), so no temporal mixing happens here.
     """
 
-    def __init__(self, cfg: AsppConfig):
+    def __init__(self, in_channels, out_channels):
         super().__init__()
-        self.cfg = cfg
-        n = cfg.spatial_kernel
-        branches = []
-        if cfg.include_pointwise_branch:
-            branches.append(("pointwise", Conv3D(
-                ConvSpec((1, 1, 1), cfg.in_channels, cfg.out_channels))))
-        for d in cfg.dilation_rates:
-            branches.append((f"dilated{d}", Conv3D(ConvSpec(
-                (1, n, n), cfg.in_channels, cfg.out_channels,
-                dilation=(1, d, d)))))
-        branches.append(("image_level", Sequential([
-            ImageLevelPool(),
-            Conv3D(ConvSpec((1, 1, 1), cfg.in_channels, cfg.out_channels)),
-        ])))
-        self.branches = Parallel(branches)
+
+        def pointwise():
+            return Conv3D(ConvSpec((1, 1, 1), in_channels, out_channels))
+
+        self.branches = Parallel([
+            ("pointwise", pointwise()),
+            *((f"dilated{d}", Conv3D(ConvSpec(
+                (1, 3, 3), in_channels, out_channels, dilation=(1, d, d))))
+              for d in ASPP_RATES),
+            ("image_level", Sequential([ImageLevelPool(), pointwise()])),
+        ])
         self.merge = Conv3D(ConvSpec(
-            (1, 1, 1), len(branches) * cfg.out_channels, cfg.out_channels))
+            (1, 1, 1), len(self.branches) * out_channels, out_channels))
 
     def children(self):
         return [*self.branches.children(), ("merge", self.merge)]

@@ -19,7 +19,6 @@ import numpy as np
 
 from . import datapipe, pgm, training
 from .archive import FormatError
-from .blocks import AsppConfig
 from .datapipe import DataError, SynthConfig
 from .layers import (
     Activation,
@@ -30,10 +29,9 @@ from .layers import (
     UpsampleNearestSpatial,
 )
 from .model import (
+    ARCHS,
     Model,
     ModelConfig,
-    build_broad_unet,
-    build_plain_unet,
     dump_feature_maps,
     mini_config,
     persistence_predict,
@@ -79,12 +77,16 @@ def _model_config(args) -> ModelConfig:
         base_filters=args.f0, factorized=args.factorized, head=args.head)
 
 
-def _build(arch: str, cfg: ModelConfig) -> Model:
-    if arch == "broad-unet":
-        return build_broad_unet(cfg)
-    if arch == "unet":
-        return build_plain_unet(cfg)
-    raise ValueError(f"unknown architecture {arch!r}")
+def _load_model_and_samples(checkpoint, samples_path):
+    """A checkpoint's model and a samples file whose windows it takes."""
+    model = Model.load(checkpoint)
+    samples = datapipe.load_samples(samples_path)
+    if samples.inputs.shape[1:] != model.input_shape():
+        raise DataError(
+            f"samples in {samples_path} have windows of shape "
+            f"{samples.inputs.shape[1:]}, but checkpoint {checkpoint} "
+            f"takes {model.input_shape()}")
+    return model, samples
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +161,7 @@ def cmd_train(args) -> int:
     cfg = ModelConfig(lags=lags, height=h, width=w, features=f,
                       base_filters=args.f0, factorized=args.factorized,
                       dropout_rate=args.dropout, head=head)
-    model = _build(args.arch, cfg).initialize(seed=args.seed)
+    model = ARCHS[args.arch](cfg).initialize(seed=args.seed)
     checkpoint = os.path.join(args.out_dir, "checkpoint.btar")
     result = training.train(model, train_set, val_set, training.TrainConfig(
         loss=args.loss, learning_rate=args.lr, batch_size=args.batch,
@@ -194,8 +196,7 @@ def cmd_eval(args) -> int:
     for h in horizons:
         ckpt = args.checkpoint.replace("{h}", str(h)) if h else args.checkpoint
         spath = args.samples.replace("{h}", str(h)) if h else args.samples
-        model = Model.load(ckpt)
-        samples = datapipe.load_samples(spath)
+        model, samples = _load_model_and_samples(ckpt, spath)
         report = training.evaluate(model, samples, args.threshold,
                                    args.denorm_factor)
         minutes = (h or samples.horizon) * args.cadence_minutes
@@ -213,8 +214,7 @@ def cmd_eval(args) -> int:
 
 def cmd_predict(args) -> int:
     t0 = time.monotonic()
-    model = Model.load(args.checkpoint)
-    samples = datapipe.load_samples(args.samples)
+    model, samples = _load_model_and_samples(args.checkpoint, args.samples)
     if not 0 <= args.index < len(samples):
         raise ValueError(f"sample index {args.index} out of range")
     y = model.predict(samples.inputs[args.index])
@@ -227,7 +227,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_params(args) -> int:
-    model = _build(args.arch, _model_config(args))
+    model = ARCHS[args.arch](_model_config(args))
     total, table = model.count_params()
     for name, count in table:
         print(f"{name}\t{count}")
@@ -266,12 +266,8 @@ def cmd_grad_check(args) -> int:
             failed |= not report.passed
     else:
         cfg = mini_config(head=args.head)
-        builder = {"broad-unet-mini": build_broad_unet,
-                   "unet-mini": build_plain_unet}
-        if args.arch not in builder:
-            raise ValueError(f"unknown grad-check target {args.arch!r}")
-        model = builder[args.arch](cfg).initialize(seed=args.seed,
-                                                   dtype=np.float64)
+        model = ARCHS[args.arch.removesuffix("-mini")](cfg).initialize(
+            seed=args.seed, dtype=np.float64)
         report = training.grad_check(model, tol=args.tol, seed=args.seed)
         status = "pass" if report.passed else "FAIL"
         print(f"{status} {args.arch}: max rel err {report.max_rel_error:.3e} "
@@ -282,8 +278,7 @@ def cmd_grad_check(args) -> int:
 
 def cmd_dump_features(args) -> int:
     t0 = time.monotonic()
-    model = Model.load(args.checkpoint)
-    samples = datapipe.load_samples(args.samples)
+    model, samples = _load_model_and_samples(args.checkpoint, args.samples)
     maps = dump_feature_maps(model, samples.inputs[args.index], args.block)
     os.makedirs(args.out_dir, exist_ok=True)
     outputs = []
@@ -307,8 +302,7 @@ def cmd_dump_features(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_model_flags(p):
-    p.add_argument("--arch", default="broad-unet",
-                   choices=["broad-unet", "unet"])
+    p.add_argument("--arch", default="broad-unet", choices=list(ARCHS))
     p.add_argument("--t", type=int, default=12, help="input lags")
     p.add_argument("--hw", type=int, default=288, help="height = width")
     p.add_argument("--f", type=int, default=1, help="feature channels")
@@ -353,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a model")
     p.add_argument("--task", default="synth", choices=["synth", "precip", "cloud"])
     p.add_argument("--samples", default=None)
-    p.add_argument("--arch", default="broad-unet", choices=["broad-unet", "unet"])
+    p.add_argument("--arch", default="broad-unet", choices=list(ARCHS))
     p.add_argument("--f0", type=int, default=2)
     p.add_argument("--hw", type=int, default=16,
                    help="synthetic frame size when no --samples given")
@@ -399,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grad-check", help="finite-difference gradient checks")
     p.add_argument("--arch", default="broad-unet-mini",
-                   choices=["layers", "broad-unet-mini", "unet-mini"])
+                   choices=["layers", *(f"{arch}-mini" for arch in ARCHS)])
     p.add_argument("--tol", type=float, default=1e-4)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--head", default="regression",

@@ -265,8 +265,18 @@ def save_frames(path, seq: FrameSequence) -> None:
     })
 
 
-def load_frames(path) -> FrameSequence:
+def _load_records(path, kind, names) -> dict:
+    """The archive's records, which must include every one of `names`."""
     records = archive_load(path)
+    missing = [name for name in names if name not in records]
+    if missing:
+        raise DataError(f"{path} is not a {kind} archive: it lacks the "
+                        f"{', '.join(map(repr, missing))} record(s)")
+    return records
+
+
+def load_frames(path) -> FrameSequence:
+    records = _load_records(path, "frames", ("frames", "cadence_minutes"))
     meta = {}
     try:
         meta = read_manifest(str(path) + ".manifest")
@@ -287,7 +297,8 @@ def save_samples(path, samples: SampleSet) -> None:
 
 
 def load_samples(path) -> SampleSet:
-    records = archive_load(path)
+    records = _load_records(
+        path, "samples", ("inputs", "targets", "starts", "lags_horizon"))
     lags, horizon = records["lags_horizon"]
     return SampleSet(records["inputs"], records["targets"], int(lags),
                      int(horizon), records["starts"].astype(np.int64))

@@ -595,11 +595,9 @@ class ImageLevelPool(Layer):
         return np.broadcast_to(g, grad.shape).copy()
 
 
-def conv_unit(kernel, in_channels, out_channels, factorized,
-              dilation=(1, 1, 1), padding="same", bias=True) -> Layer:
-    """A convolution, optionally replaced by its per-axis factor chain."""
-    spec = ConvSpec(kernel, in_channels, out_channels,
-                    dilation=dilation, padding=padding, bias=bias)
+def conv_unit(kernel, in_channels, out_channels, factorized) -> Layer:
+    """A same-padded convolution, optionally replaced by its factor chain."""
+    spec = ConvSpec(kernel, in_channels, out_channels)
     if not factorized:
         return Conv3D(spec)
     specs = factor_specs(spec)

@@ -11,12 +11,12 @@ from __future__ import annotations
 import functools
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .archive import FormatError, archive_load, archive_save
-from .blocks import Aspp, AsppConfig, BlockConfig, MultiScaleBlock
+from .blocks import ASPP_RATES, Aspp, MultiScaleBlock
 from .layers import (
     Activation,
     Conv3D,
@@ -43,7 +43,6 @@ class ModelConfig:
     dropout_rate: float = 0.5
     factorized: bool = True
     head: str = "regression"
-    aspp: AsppConfig | None = None
 
     def __post_init__(self):
         if min(self.lags, self.height, self.width, self.features,
@@ -58,51 +57,24 @@ class ModelConfig:
             raise ValueError(f"head must be 'regression' or 'binary', got {self.head!r}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must be in [0, 1)")
-        if self.aspp is not None:
-            bottom = self.channel_plan[-1]
-            if self.aspp.in_channels != bottom or self.aspp.out_channels != bottom:
-                raise ValueError(
-                    f"aspp channels must match bottleneck width {bottom}")
 
     @property
     def channel_plan(self) -> list:
         return [self.base_filters * 2 ** i for i in range(LEVELS)]
 
-    def aspp_config(self) -> AsppConfig:
-        if self.aspp is not None:
-            return self.aspp
-        bottom = self.channel_plan[-1]
-        return AsppConfig(bottom, bottom)
-
     def to_dict(self) -> dict:
-        aspp = self.aspp_config()
-        return {
-            "lags": self.lags, "height": self.height, "width": self.width,
-            "features": self.features, "base_filters": self.base_filters,
-            "dropout_rate": self.dropout_rate, "factorized": self.factorized,
-            "head": self.head,
-            "aspp": {
-                "in_channels": aspp.in_channels,
-                "out_channels": aspp.out_channels,
-                "dilation_rates": list(aspp.dilation_rates),
-                "include_pointwise_branch": aspp.include_pointwise_branch,
-                "spatial_kernel": aspp.spatial_kernel,
-            },
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
         d = dict(d)
+        # checkpoints written while the ASPP was configurable record it; its
+        # parameter names and shapes catch any other ASPP except a reordering
+        # of the same rates, which only changes the concat order
         aspp = d.pop("aspp", None)
-        if aspp is not None:
-            aspp = AsppConfig(
-                in_channels=aspp["in_channels"],
-                out_channels=aspp["out_channels"],
-                dilation_rates=tuple(aspp["dilation_rates"]),
-                include_pointwise_branch=aspp["include_pointwise_branch"],
-                spatial_kernel=aspp["spatial_kernel"],
-            )
-        return cls(aspp=aspp, **d)
+        if aspp is not None and tuple(aspp["dilation_rates"]) != ASPP_RATES:
+            raise ValueError(f"unsupported ASPP rates {aspp['dilation_rates']}")
+        return cls(**d)
 
 
 def mini_config(lags=2, height=16, width=16, features=1, base_filters=2,
@@ -183,14 +155,13 @@ class BroadUNet(_UNetBase):
 
     def __init__(self, cfg: ModelConfig):
         super().__init__(cfg, bottleneck=[
-            ("aspp", Aspp(cfg.aspp_config())),
+            ("aspp", Aspp(cfg.channel_plan[-1], cfg.channel_plan[-1])),
             ("dropout", Dropout(cfg.dropout_rate)),
         ])
 
     def _level_block(self, in_channels, out_channels, time_extent):
-        return MultiScaleBlock(BlockConfig(
-            in_channels, out_channels,
-            factorized=self.cfg.factorized, time_extent=time_extent))
+        return MultiScaleBlock(in_channels, out_channels,
+                               self.cfg.factorized, time_extent)
 
 
 class PlainUNet(_UNetBase):
@@ -327,8 +298,7 @@ class Model:
             manifest = json.loads(
                 bytes(records.pop("__manifest__")).decode("utf-8"))
             cfg = ModelConfig.from_dict(manifest["config"])
-            builder = {"broad-unet": build_broad_unet, "unet": build_plain_unet}
-            model = builder[manifest["arch"]](cfg)
+            model = ARCHS[manifest["arch"]](cfg)
             dtype = {"f32": np.float32, "f64": np.float64}[manifest["elem_type"]]
             for name in manifest["param_names"]:
                 model.set_param(name, records[name].astype(dtype, copy=False))
@@ -352,6 +322,9 @@ def build_broad_unet(cfg: ModelConfig) -> Model:
 
 def build_plain_unet(cfg: ModelConfig) -> Model:
     return Model(PlainUNet(cfg), cfg, "unet")
+
+
+ARCHS = {"broad-unet": build_broad_unet, "unet": build_plain_unet}
 
 
 def count_params(model: Model):

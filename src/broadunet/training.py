@@ -93,14 +93,6 @@ class TrainConfig:
     seed: int = 0
     checkpoint_path: str | None = None
 
-    @classmethod
-    def precipitation(cls, **kwargs) -> "TrainConfig":
-        return cls(loss="mse", learning_rate=1e-4, batch_size=2, **kwargs)
-
-    @classmethod
-    def cloud(cls, **kwargs) -> "TrainConfig":
-        return cls(loss="bce", learning_rate=1e-3, batch_size=8, **kwargs)
-
 
 @dataclass
 class TrainResult:
@@ -194,9 +186,7 @@ class MetricsReport:
     accuracy: float
     precision: float
     recall: float
-    threshold: float
     n_pixels: int
-    denormalization_factor: float
 
 
 def _ratio(num: int, den: int, other_den: int) -> float:
@@ -238,9 +228,7 @@ def evaluate(predictor, test_set, threshold: float,
         accuracy=(tp + tn) / n_pixels,
         precision=_ratio(tp, tp + fp, tp + fn),
         recall=_ratio(tp, tp + fn, tp + fp),
-        threshold=threshold,
         n_pixels=n_pixels,
-        denormalization_factor=denorm_factor,
     )
 
 
@@ -253,7 +241,6 @@ class GradCheckReport:
     passed: bool
     max_rel_error: float
     worst: str
-    tolerance: float
     per_param: dict = field(default_factory=dict)
 
 
@@ -353,4 +340,4 @@ def grad_check(target, in_shape=None, x=None, tol=1e-4, step=1e-6,
             per_param[name] = max(per_param.get(name, 0.0), err)
 
     return GradCheckReport(passed=worst_err < tol, max_rel_error=worst_err,
-                           worst=worst_name, tolerance=tol, per_param=per_param)
+                           worst=worst_name, per_param=per_param)

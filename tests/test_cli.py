@@ -293,12 +293,96 @@ class TestParams:
         assert "output\t(1, 288, 288, 1)" in out
 
 
+class TestWrongInputs:
+    """Inputs of the wrong kind or shape exit 2 with an error naming them."""
+
+    def _run(self, capsys, argv):
+        capsys.readouterr()
+        code = run(argv)
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["preprocess", "--task", "precip"],
+        ["make-samples", "--lags", "2"],
+    ], ids=["preprocess", "make-samples"])
+    def test_samples_given_as_frames(self, workspace, tmp_path, capsys,
+                                     command):
+        code, err = self._run(capsys, [
+            *command, "--frames", workspace["samples"],
+            "--out", str(tmp_path / "out.btar")])
+        assert code == 2
+        assert err.startswith("error: ") and workspace["samples"] in err
+        assert "'frames'" in err
+
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    def test_frames_given_as_samples(self, workspace, tmp_path, capsys,
+                                     command):
+        code, err = self._run(capsys, [
+            command, "--checkpoint", workspace["checkpoint"],
+            "--samples", workspace["frames"], "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert err.startswith("error: ") and workspace["frames"] in err
+        assert "'lags_horizon'" in err
+
+    @pytest.mark.parametrize("command", [
+        ["predict", "--out", "out.pgm"],
+        ["eval", "--out", "out.csv"],
+        ["dump-features", "--out-dir", "feat"],
+    ], ids=["predict", "eval", "dump-features"])
+    def test_samples_that_do_not_fit_the_checkpoint(
+            self, workspace, tmp_path, capsys, command):
+        lags3 = str(tmp_path / "lags3.btar")
+        assert run(["make-samples", "--frames", workspace["frames"],
+                    "--lags", "3", "--out", lags3]) == 0
+        out_flag, out_name = command[1:]
+        code, err = self._run(capsys, [
+            command[0], "--checkpoint", workspace["checkpoint"],
+            "--samples", lags3, out_flag, str(tmp_path / out_name)])
+        assert code == 2
+        assert err.startswith("error: ")
+        assert lags3 in err and workspace["checkpoint"] in err
+        assert not (tmp_path / out_name).exists()
+
+    @pytest.mark.parametrize("recorded", [True, False],
+                             ids=["recorded_rates", "names_only"])
+    def test_checkpoint_with_other_aspp_rates(self, workspace, tmp_path,
+                                              capsys, recorded):
+        # a checkpoint written while the ASPP rates were configurable, with
+        # rates (7, 12, 18); its parameter names alone differ from the fixed
+        # ASPP's, so it is rejected even without the recorded rates
+        records = archive_load(workspace["checkpoint"])
+        manifest = json.loads(bytes(records.pop("__manifest__")).decode())
+        if recorded:
+            manifest["config"]["aspp"] = {
+                "in_channels": 16, "out_channels": 16,
+                "dilation_rates": [7, 12, 18],
+                "include_pointwise_branch": True, "spatial_kernel": 3}
+        renamed = {name.replace("aspp.dilated6.", "aspp.dilated7."): arr
+                   for name, arr in records.items()}
+        manifest["param_names"] = list(renamed)
+        assert "aspp.dilated7.w" in renamed
+        bad = str(tmp_path / "rates7.btar")
+        archive_save(bad, {"__manifest__": np.frombuffer(
+            json.dumps(manifest).encode("utf-8"), dtype=np.uint8), **renamed})
+        code, err = self._run(capsys, [
+            "predict", "--checkpoint", bad, "--samples", workspace["samples"],
+            "--out", str(tmp_path / "x.pgm")])
+        assert code == 2
+        assert err.startswith("error: ") and bad in err
+        assert not (tmp_path / "x.pgm").exists()
+
+
 class TestGradCheckCommand:
     def test_primitive_layers_pass(self, capsys):
         assert run(["grad-check", "--arch", "layers"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert out.count("pass") == 8
+
+    @pytest.mark.parametrize("arch", ["broad-unet", "unet"])
+    def test_mini_network_passes(self, capsys, arch):
+        assert run(["grad-check", "--arch", f"{arch}-mini"]) == 0
+        assert capsys.readouterr().out.startswith(f"pass {arch}-mini:")
 
 
 class TestDumpFeatures:

@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from broadunet import archive
 from broadunet import model as model_module
-from broadunet.blocks import AsppConfig
+from broadunet.archive import FormatError
 from broadunet.layers import Conv3D
 from broadunet.model import (
     Model,
@@ -30,13 +32,23 @@ class TestConfig:
         assert cfg.channel_plan == [3, 6, 12, 24, 48]
 
     def test_aspp_channels_must_match_bottleneck(self):
-        with pytest.raises(ValueError):
-            ModelConfig(lags=2, height=16, width=16, base_filters=2,
-                        aspp=AsppConfig(8, 8))
+        # the ASPP is built at the bottleneck width; no setting can change it
+        aspp = dict(build_broad_unet(mini_config(base_filters=3))
+                    .root.bottleneck)["aspp"]
+        convs = [(name, layer.spec) for name, layer in aspp.walk()
+                 if isinstance(layer, Conv3D)]
+        assert {spec.out_channels for _, spec in convs} == {48}
+        assert {spec.in_channels for name, spec in convs
+                if name != "merge"} == {48}
 
     def test_round_trip_dict(self):
         cfg = mini_config(head="binary", factorized=False)
         assert ModelConfig.from_dict(cfg.to_dict()).to_dict() == cfg.to_dict()
+
+    def test_dict_holds_exactly_the_fields(self):
+        assert list(mini_config().to_dict()) == [
+            "lags", "height", "width", "features", "base_filters",
+            "dropout_rate", "factorized", "head"]
 
 
 class TestShapeContract:
@@ -245,3 +257,47 @@ class TestCheckpoint:
         loaded = Model.load(path)
         for name, arr in model.named_params().items():
             np.testing.assert_array_equal(loaded.named_params()[name], arr)
+
+
+def _with_manifest_config(path, out, **entries):
+    """Copy a checkpoint, adding `entries` to its manifest's config."""
+    records = archive.archive_load(path)
+    manifest = json.loads(bytes(records["__manifest__"]).decode("utf-8"))
+    manifest["config"].update(entries)
+    records["__manifest__"] = np.frombuffer(
+        json.dumps(manifest).encode("utf-8"), dtype=np.uint8)
+    archive.archive_save(out, records)
+    return out
+
+
+# what checkpoints written while the ASPP was configurable record for it
+# at base_filters=2 (bottleneck width 32)
+RECORDED_ASPP = {"in_channels": 32, "out_channels": 32,
+                 "dilation_rates": [6, 12, 18],
+                 "include_pointwise_branch": True, "spatial_kernel": 3}
+
+
+class TestRecordedAspp:
+    def test_checkpoint_with_recorded_aspp_loads_the_same(self, tmp_path):
+        model = build_broad_unet(mini_config()).initialize(seed=15)
+        path = tmp_path / "model.btar"
+        model.save(path)
+        old = _with_manifest_config(path, tmp_path / "old.btar",
+                                    aspp=RECORDED_ASPP)
+        a, b = Model.load(path), Model.load(old)
+        assert a.config == b.config
+        for name, arr in a.named_params().items():
+            np.testing.assert_array_equal(b.named_params()[name], arr)
+        x = np.random.default_rng(15).random((2, 16, 16, 1), dtype=np.float32)
+        np.testing.assert_array_equal(b.predict(x), a.predict(x))
+
+    def test_reordered_rates_rejected(self, tmp_path):
+        # same parameter names and shapes, other concat order: only the
+        # recorded rates tell it apart
+        path = tmp_path / "model.btar"
+        build_broad_unet(mini_config()).initialize(seed=16).save(path)
+        old = _with_manifest_config(
+            path, tmp_path / "old.btar",
+            aspp={**RECORDED_ASPP, "dilation_rates": [12, 6, 18]})
+        with pytest.raises(FormatError, match="ASPP rates"):
+            Model.load(old)

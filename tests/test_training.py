@@ -171,14 +171,6 @@ class TestTrainLoop:
         with pytest.raises(ValueError):
             train(model, train_set, empty, TrainConfig())
 
-    def test_preset_configs(self):
-        assert TrainConfig.precipitation().loss == "mse"
-        assert TrainConfig.precipitation().learning_rate == 1e-4
-        assert TrainConfig.precipitation().batch_size == 2
-        assert TrainConfig.cloud().loss == "bce"
-        assert TrainConfig.cloud().learning_rate == 1e-3
-        assert TrainConfig.cloud().batch_size == 8
-
     def test_history_csv_round_trip(self, tmp_path):
         history = [(1, 0.1 + 1e-17, 0.25), (2, 1.0 / 3.0, 0.125)]
         path = tmp_path / "history.csv"
