@@ -6,9 +6,8 @@ Both preserve (T, H, W) through same padding; only the channel count changes.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .layers import (
+    Activation,
     Conv3D,
     ConvSpec,
     ImageLevelPool,
@@ -56,6 +55,7 @@ class MultiScaleBlock(Layer):
                                            out_channels))
         else:
             self.project = None
+        self.relu = Activation("relu")
         self.branch_maps = None
 
     def children(self):
@@ -63,6 +63,7 @@ class MultiScaleBlock(Layer):
                  ("merge", self.merge)]
         if self.project is not None:
             named.append(("project", self.project))
+        named.append(("relu", self.relu))
         return named
 
     def out_shape(self, shape):
@@ -85,12 +86,10 @@ class MultiScaleBlock(Layer):
             residual = self.project.forward(x, train=train, rng=rng)
         else:
             residual = x
-        pre = merged + residual
-        self._relu_mask = pre > 0
-        return np.maximum(pre, 0)
+        return self.relu.forward(merged + residual, train=train, rng=rng)
 
     def backward(self, grad):
-        g = grad * self._relu_mask
+        g = self.relu.backward(grad)
         gx = self.initial.backward(self.branches.backward(self.merge.backward(g)))
         if self.project is not None:
             gx = gx + self.project.backward(g)

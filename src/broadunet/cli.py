@@ -89,6 +89,13 @@ def _load_model_and_samples(checkpoint, samples_path):
     return model, samples
 
 
+def _window(samples, index):
+    """Input window `index` of `samples`; a bad index is a usage error."""
+    if not 0 <= index < len(samples):
+        raise ValueError(f"sample index {index} out of range 0..{len(samples) - 1}")
+    return samples.inputs[index]
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -215,9 +222,7 @@ def cmd_eval(args) -> int:
 def cmd_predict(args) -> int:
     t0 = time.monotonic()
     model, samples = _load_model_and_samples(args.checkpoint, args.samples)
-    if not 0 <= args.index < len(samples):
-        raise ValueError(f"sample index {args.index} out of range")
-    y = model.predict(samples.inputs[args.index])
+    y = model.predict(_window(samples, args.index))
     lo, hi = pgm.write_pgm(args.out, y[0, :, :, 0])
     _write_run_manifest(os.path.dirname(args.out) or ".", "predict", args,
                         [args.out], time.monotonic() - t0,
@@ -279,7 +284,7 @@ def cmd_grad_check(args) -> int:
 def cmd_dump_features(args) -> int:
     t0 = time.monotonic()
     model, samples = _load_model_and_samples(args.checkpoint, args.samples)
-    maps = dump_feature_maps(model, samples.inputs[args.index], args.block)
+    maps = dump_feature_maps(model, _window(samples, args.index), args.block)
     os.makedirs(args.out_dir, exist_ok=True)
     outputs = []
     archive_path = os.path.join(args.out_dir, f"block{args.block}_features.btar")

@@ -299,6 +299,12 @@ def save_samples(path, samples: SampleSet) -> None:
 def load_samples(path) -> SampleSet:
     records = _load_records(
         path, "samples", ("inputs", "targets", "starts", "lags_horizon"))
+    counts = {n: records[n].shape[:1] for n in ("inputs", "targets", "starts")}
+    if len(set(counts.values())) != 1 or records["lags_horizon"].shape != (2,):
+        raise DataError(
+            f"samples archive {path} needs equal window counts and two "
+            f"lags_horizon values; it holds window counts {counts} and "
+            f"{records['lags_horizon'].size} lags_horizon value(s)")
     lags, horizon = records["lags_horizon"]
     return SampleSet(records["inputs"], records["targets"], int(lags),
                      int(horizon), records["starts"].astype(np.int64))

@@ -1,8 +1,10 @@
 """Differentiable primitive layers with explicit forward/backward rules.
 
-Every layer caches what its backward pass needs on `self` during forward
-(the "tape"); backward must follow the matching forward. Parameters live in
-`self.params` and gradients accumulate into `self.grads` until zeroed.
+A layer whose backward needs forward state keeps it in one slot, `_tape`:
+`train=True` keeps the tape, `backward` consumes it once, `train=False`
+keeps nothing (and drops any tape left unconsumed). A backward with no tape
+raises `RuntimeError`. Parameters live in `self.params` and gradients
+accumulate into `self.grads` until zeroed.
 
 Convolutions are anisotropic 3D with per-axis dilation, stride fixed at 1.
 Downsampling is done exclusively by spatial max pooling.
@@ -292,6 +294,8 @@ def _bias_grad(grad_out):
 class Layer:
     """Base graph node. Leaves own parameters; composites own children."""
 
+    _tape = None  # what backward needs, kept by a training forward
+
     def __init__(self):
         self.params: dict = {}
         self.grads: dict = {}
@@ -330,6 +334,13 @@ class Layer:
                 for lname, layer in self.walk()
                 for key, value in entries(layer).items()}
 
+    def _take_tape(self):
+        """The tape of the last training forward, consumed."""
+        tape, self._tape = self._tape, None
+        if tape is None:
+            raise RuntimeError(f"{type(self).__name__}.backward without a training forward")
+        return tape
+
     def accumulate(self, name, value):
         if name in self.grads:
             self.grads[name] += value
@@ -347,7 +358,6 @@ class Conv3D(Layer):
     def __init__(self, spec: ConvSpec):
         super().__init__()
         self.spec = spec
-        self._tape = None
 
     def param_shapes(self):
         shapes = {"w": self.spec.weight_shape()}
@@ -377,16 +387,13 @@ class Conv3D(Layer):
         return (*self.spec.out_extents(shape[:3]), self.spec.out_channels)
 
     def forward(self, x, train=False, rng=None):
-        y, self._tape = conv3d_forward(
+        y, tape = conv3d_forward(
             x, self.params["w"], self.params.get("b"), self.spec)
+        self._tape = tape if train else None
         return y
 
     def backward(self, grad):
-        gx, gw, gb = conv3d_backward(self._tape, grad)
-        # the padded input is most of what a step keeps alive; freeing it
-        # here lets each backward release memory as it goes, instead of
-        # holding every tape until the next forward replaces it
-        self._tape = None
+        gx, gw, gb = conv3d_backward(self._take_tape(), grad)
         self.accumulate("w", gw)
         if gb is not None:
             self.accumulate("b", gb)
@@ -472,10 +479,11 @@ def _bits(a):
 class MaxPoolSpatial(Layer):
     """2x2 spatial max pooling, stride 2; T and C pass through.
 
-    Ties route the gradient to the first maximal element in row-major
-    window order, which keeps gradient checks deterministic. A NaN counts
-    as maximal, as in `np.argmax`. The output holds that element's bits,
-    so the sign of a zero maximum is the first zero's.
+    The tape is each window's maximum position. Ties route the gradient to
+    the first maximal element in row-major window order, which keeps
+    gradient checks deterministic. A NaN counts as maximal, as in
+    `np.argmax`. The output holds that element's bits, so the sign of a
+    zero maximum is the first zero's.
     """
 
     def out_shape(self, shape):
@@ -494,24 +502,26 @@ class MaxPoolSpatial(Layer):
         # either zero of a -0.0/+0.0 tie.
         y = x[:, 0::2, 0::2].copy()
         y_bits, x_bits = _bits(y), _bits(x)
-        index = np.zeros(y.shape, dtype=np.uint8)
+        index = np.zeros(y.shape, dtype=np.uint8) if train else None
         for k, (i, j) in enumerate(_WINDOW[1:], 1):
             later = x[:, i::2, j::2]
             better = ~(later <= y)  # also true for a NaN against a number
             better &= y == y        # a NaN maximum stays
-            np.maximum(index, better * np.uint8(k), out=index)
+            if train:
+                np.maximum(index, better * np.uint8(k), out=index)
             y_bits ^= (y_bits ^ x_bits[:, i::2, j::2]) & -better.astype(y_bits.dtype)
-        self._index = index
-        self._in_shape = x.shape
+        self._tape = index
         return y
 
     def backward(self, grad):
-        gx = np.empty(self._in_shape, dtype=grad.dtype)
+        index = self._take_tape()
+        t, h, w, c = index.shape
+        gx = np.empty((t, 2 * h, 2 * w, c), dtype=grad.dtype)
         g_bits, gx_bits = _bits(grad), _bits(gx)
         # every input element lies in exactly one view; the mask keeps the
         # gradient bits at the window's maximum and writes +0 elsewhere
         for k, (i, j) in enumerate(_WINDOW):
-            mask = -(self._index == k).astype(g_bits.dtype)
+            mask = -(index == k).astype(g_bits.dtype)
             np.bitwise_and(g_bits, mask, out=gx_bits[:, i::2, j::2])
         return gx
 
@@ -542,19 +552,21 @@ class Activation(Layer):
 
     def forward(self, x, train=False, rng=None):
         if self.kind == "relu":
-            self._mask = x > 0
+            self._tape = x > 0 if train else None
             return np.maximum(x, 0)
         if self.kind == "sigmoid":
-            self._out = 1.0 / (1.0 + np.exp(-x))
-            return self._out
+            y = 1.0 / (1.0 + np.exp(-x))
+            self._tape = y if train else None
+            return y
         return x
 
     def backward(self, grad):
+        if self.kind == "linear":
+            return grad
+        tape = self._take_tape()
         if self.kind == "relu":
-            return grad * self._mask
-        if self.kind == "sigmoid":
-            return grad * self._out * (1.0 - self._out)
-        return grad
+            return grad * tape
+        return grad * tape * (1.0 - tape)
 
 
 class Dropout(Layer):
@@ -568,30 +580,30 @@ class Dropout(Layer):
 
     def forward(self, x, train=False, rng=None):
         if not train or self.rate == 0.0:
-            self._mask = None
+            self._tape = None
             return x
         if rng is None:
             raise ValueError("training-mode dropout needs a seeded rng")
         keep = 1.0 - self.rate
-        self._mask = (rng.random(x.shape) < keep).astype(x.dtype) / keep
-        return x * self._mask
+        self._tape = (rng.random(x.shape) < keep).astype(x.dtype) / keep
+        return x * self._tape
 
     def backward(self, grad):
-        if self._mask is None:
+        if self.rate == 0.0:
             return grad
-        return grad * self._mask
+        return grad * self._take_tape()
 
 
 class ImageLevelPool(Layer):
     """Global average over (H, W) per time step and channel, broadcast back."""
 
     def forward(self, x, train=False, rng=None):
-        self._hw = x.shape[1] * x.shape[2]
         mean = x.mean(axis=(1, 2), keepdims=True)
         return np.broadcast_to(mean, x.shape).copy()
 
     def backward(self, grad):
-        g = grad.sum(axis=(1, 2), keepdims=True) / self._hw
+        _, h, w, _ = grad.shape
+        g = grad.sum(axis=(1, 2), keepdims=True) / (h * w)
         return np.broadcast_to(g, grad.shape).copy()
 
 

@@ -232,11 +232,6 @@ class Model:
         return [(name, layer.spec) for name, layer in self.root.walk()
                 if isinstance(layer, Conv3D)]
 
-    def multiscale_blocks(self) -> list:
-        """(name, block) for every multi-scale block, forward order."""
-        return [(name, layer) for name, layer in self.root.walk()
-                if isinstance(layer, MultiScaleBlock)]
-
     # -- evaluation ------------------------------------------------------------
     def input_shape(self) -> tuple:
         c = self.config
@@ -341,12 +336,13 @@ def persistence_predict(x: np.ndarray) -> np.ndarray:
 def dump_feature_maps(model: Model, x: np.ndarray, block_index: int) -> list:
     """Per-branch activations of one multi-scale block after a forward pass.
 
-    Returns [(label, tensor)] for the 1x1x1, 3x3x3 and 5x5x5 branches.
+    Returns [(label, tensor)] for the 1x1x1, 3x3x3 and 5x5x5 branches of
+    the `block_index`-th multi-scale block in `Layer.walk` order.
     """
-    blocks = model.multiscale_blocks()
+    blocks = [layer for _, layer in model.root.walk()
+              if isinstance(layer, MultiScaleBlock)]
     if not 0 <= block_index < len(blocks):
         raise ValueError(
             f"block_index {block_index} out of range (model has {len(blocks)})")
     model.predict(x)
-    _, block = blocks[block_index]
-    return [(label, arr) for label, arr in block.branch_maps.items()]
+    return list(blocks[block_index].branch_maps.items())

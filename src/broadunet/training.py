@@ -244,14 +244,17 @@ class GradCheckReport:
     per_param: dict = field(default_factory=dict)
 
 
-def grad_check(target, in_shape=None, x=None, tol=1e-4, step=1e-6,
-               seed=0, max_input_coords=64, max_param_coords=200) -> GradCheckReport:
+def grad_check(target, in_shape=None, tol=1e-4, step=1e-6, seed=0,
+               max_input_coords=64, max_param_coords=200) -> GradCheckReport:
     """Compare analytic gradients against central finite differences.
 
     `target` is a Layer (initialized here in f64 if needed) or an
-    initialized Model in f64. The scalar objective is sum(output * r) for a
-    fixed random r. Relative error uses max(|a|, |fd|, 1e-3 * grad_rms) as
-    the denominator so near-zero coordinates do not amplify rounding noise.
+    initialized Model in f64; `in_shape` defaults to the model's input. The
+    scalar objective is sum(output * r) for a fixed random r. Every forward
+    runs in training mode on a freshly seeded rng, so dropout draws the same
+    mask each time and its backward is checked too. Relative error uses
+    max(|a|, |fd|, 1e-3 * grad_rms) as the denominator so near-zero
+    coordinates do not amplify rounding noise.
     """
     rng = np.random.default_rng(seed)
     is_model = hasattr(target, "root")
@@ -259,85 +262,64 @@ def grad_check(target, in_shape=None, x=None, tol=1e-4, step=1e-6,
     if is_model:
         if target.dtype != np.float64:
             raise ValueError("gradient checks require an f64-initialized model")
-    else:
-        needs = any(layer.param_shapes() and not layer.params
-                    for _, layer in root.walk())
-        if needs:
-            init_rng = np.random.default_rng(seed + 1)
-            for _, layer in root.walk():
-                layer.init_params(init_rng, dtype=np.float64)
-    if x is None:
-        if in_shape is None:
-            in_shape = target.input_shape() if is_model else None
-        if in_shape is None:
-            raise ValueError("provide either x or in_shape")
-        x = rng.standard_normal(in_shape)
-    x = np.asarray(x, dtype=np.float64)
+    elif any(layer.param_shapes() and not layer.params
+             for _, layer in root.walk()):
+        init_rng = np.random.default_rng(seed + 1)
+        for _, layer in root.walk():
+            layer.init_params(init_rng, dtype=np.float64)
+    if in_shape is None:
+        if not is_model:
+            raise ValueError("a layer's gradient check needs in_shape")
+        in_shape = target.input_shape()
+    x = rng.standard_normal(in_shape)
 
-    def fwd(inp):
-        return root.forward(inp, train=False, rng=None)
+    def fwd():
+        return root.forward(x, train=True, rng=np.random.default_rng(seed + 2))
 
-    y = fwd(x)
+    y = fwd()
     r = rng.standard_normal(y.shape)
-
     root.zero_grads()
     gx = root.backward(r.copy())
     grads = root.named(lambda layer: layer.grads)
     params = root.named(lambda layer: layer.params)
 
-    def objective():
-        return float((fwd(x) * r).sum())
-
     # pooled scale keeps the relative error meaningful at tiny gradients
     pool = [np.abs(gx).ravel()] + [np.abs(g).ravel() for g in grads.values()]
-    g_rms = float(np.sqrt(np.mean(np.concatenate(pool) ** 2))) if pool else 0.0
+    g_rms = float(np.sqrt(np.mean(np.concatenate(pool) ** 2)))
     floor = max(1e-3 * g_rms, 1e-12)
 
-    worst_err, worst_name = 0.0, "none"
-    per_param = {}
-
-    def check_coords(label, arr, analytic, idxs):
-        nonlocal worst_err, worst_name
-        local_max = 0.0
-        flat = arr.reshape(-1)
-        aflat = analytic.reshape(-1)
-        for idx in idxs:
-            orig = flat[idx]
-            flat[idx] = orig + step
-            splus = objective()
-            flat[idx] = orig - step
-            sminus = objective()
-            flat[idx] = orig
-            fd = (splus - sminus) / (2.0 * step)
-            a = aflat[idx]
-            rel = abs(a - fd) / max(abs(a), abs(fd), floor)
-            if rel > local_max:
-                local_max = rel
-            if rel > worst_err:
-                worst_err = rel
-                worst_name = f"{label}[{idx}]"
-        return local_max
-
-    n_in = min(max_input_coords, x.size)
-    in_idx = rng.choice(x.size, size=n_in, replace=False)
-    per_param["input"] = check_coords("input", x, gx, in_idx)
-
-    names = list(params.keys())
+    # (report key, array, analytic gradient, flat index) per checked coordinate
+    coords = [("input", x, gx, int(i)) for i in rng.choice(
+        x.size, size=min(max_input_coords, x.size), replace=False)]
+    names = list(params)
     sizes = np.array([params[n].size for n in names])
     total = int(sizes.sum())
     if total:
-        n_coords = min(max_param_coords, total)
-        flat_choice = rng.choice(total, size=n_coords, replace=False)
         bounds = np.cumsum(sizes)
-        for pos in sorted(flat_choice):
+        for pos in sorted(rng.choice(total, size=min(max_param_coords, total),
+                                     replace=False)):
             pi = int(np.searchsorted(bounds, pos, side="right"))
             name = names[pi]
-            local = pos - (bounds[pi] - sizes[pi])
-            analytic = grads.get(name)
-            if analytic is None:
-                analytic = np.zeros_like(params[name])
-            err = check_coords(f"param:{name}", params[name], analytic, [int(local)])
-            per_param[name] = max(per_param.get(name, 0.0), err)
+            analytic = grads.get(name, np.zeros_like(params[name]))
+            coords.append((name, params[name], analytic,
+                           int(pos - (bounds[pi] - sizes[pi]))))
+
+    worst_err, worst_name, per_param = 0.0, "none", {}
+    for key, arr, analytic, idx in coords:
+        flat = arr.reshape(-1)
+        orig = flat[idx]
+        flat[idx] = orig + step
+        splus = float((fwd() * r).sum())
+        flat[idx] = orig - step
+        sminus = float((fwd() * r).sum())
+        flat[idx] = orig
+        fd = (splus - sminus) / (2.0 * step)
+        a = analytic.reshape(-1)[idx]
+        rel = abs(a - fd) / max(abs(a), abs(fd), floor)
+        per_param[key] = max(per_param.get(key, 0.0), rel)
+        if rel > worst_err:
+            label = key if key == "input" else f"param:{key}"
+            worst_err, worst_name = rel, f"{label}[{idx}]"
 
     return GradCheckReport(passed=worst_err < tol, max_rel_error=worst_err,
                            worst=worst_name, per_param=per_param)

@@ -49,3 +49,14 @@ def test_traced_step_records_block_and_unet_spans(tracer_module):
     for cls, (fwd, bwd) in originals.items():
         assert cls.__dict__["forward"] is fwd
         assert cls.__dict__["backward"] is bwd
+
+
+def test_tape_bytes_count_only_training_forwards(tracer_module):
+    net = model.build_broad_unet(model.mini_config()).initialize(seed=0)
+    x = np.random.default_rng(0).random(net.input_shape()).astype(np.float32)
+    net.predict(x)
+    assert tracer_module.tape_bytes(net.root) == 0
+    y = net.forward(x, train=True, rng=np.random.default_rng(1))
+    assert tracer_module.tape_bytes(net.root) > 0
+    net.backward(np.ones_like(y))
+    assert tracer_module.tape_bytes(net.root) == 0

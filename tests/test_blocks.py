@@ -63,7 +63,7 @@ class TestMultiScaleBlock:
         for factorized in (True, False):
             block = init_layer(MultiScaleBlock(
                 2, 4, factorized=factorized, time_extent=3))
-            y = block.forward(x)
+            y = block.forward(x, train=True)
             g = block.backward(np.ones_like(y))
             shapes.append((y.shape, g.shape))
         assert shapes[0] == shapes[1]

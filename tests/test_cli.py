@@ -343,6 +343,24 @@ class TestWrongInputs:
         assert lags3 in err and workspace["checkpoint"] in err
         assert not (tmp_path / out_name).exists()
 
+    @pytest.mark.parametrize("edit", [
+        lambda records: records.update(targets=records["targets"][:5]),
+        lambda records: records.update(
+            lags_horizon=np.array([2.0, 1.0, 7.0])),
+    ], ids=["five_of_thirteen_targets", "three_lags_horizon_values"])
+    def test_inconsistent_samples_archive(self, workspace, tmp_path, capsys,
+                                          edit):
+        records = archive_load(workspace["samples"])
+        edit(records)
+        bad = str(tmp_path / "bad_samples.btar")
+        archive_save(bad, records)
+        code, err = self._run(capsys, [
+            "eval", "--checkpoint", workspace["checkpoint"], "--samples", bad,
+            "--out", str(tmp_path / "m.csv")])
+        assert code == 2
+        assert err.startswith("error: ") and bad in err
+        assert not (tmp_path / "m.csv").exists()
+
     @pytest.mark.parametrize("recorded", [True, False],
                              ids=["recorded_rates", "names_only"])
     def test_checkpoint_with_other_aspp_rates(self, workspace, tmp_path,
@@ -397,6 +415,16 @@ class TestDumpFeatures:
         for label in records:
             img = read_pgm(os.path.join(out_dir, f"block0_{label}.pgm"))
             assert img.shape == (16, 16)
+
+    @pytest.mark.parametrize("index", ["999", "-1"])
+    def test_index_out_of_range(self, workspace, tmp_path, capsys, index):
+        capsys.readouterr()
+        assert run(["dump-features", "--checkpoint", workspace["checkpoint"],
+                    "--samples", workspace["samples"], "--index", index,
+                    "--out-dir", str(tmp_path / "f")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: sample index {index} out of range")
+        assert not (tmp_path / "f").exists()
 
     def test_bad_block_index(self, workspace, tmp_path):
         assert run(["dump-features", "--checkpoint", workspace["checkpoint"],

@@ -166,6 +166,30 @@ class TestArchive:
         assert loaded["s"] == 3.5
 
 
+class TestSamplesArchive:
+    @given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3),
+           st.integers(0, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_any_window_counts_load_or_data_error(
+            self, tmp_path_factory, n_inputs, n_targets, n_starts, n_lh):
+        path = tmp_path_factory.getbasetemp() / "fuzz_samples.btar"
+        archive_save(path, {
+            "inputs": np.zeros((n_inputs, 2, 4, 4, 1), dtype=np.float32),
+            "targets": np.zeros((n_targets, 1, 4, 4, 1), dtype=np.float32),
+            "starts": np.arange(n_starts, dtype=np.float64),
+            "lags_horizon": np.arange(1.0, n_lh + 1.0),
+        })
+        consistent = n_inputs == n_targets == n_starts and n_lh == 2
+        try:
+            samples = load_samples(path)
+        except DataError:
+            assert not consistent
+        else:
+            assert consistent
+            assert len(samples.targets) == len(samples.starts) == len(samples)
+            assert (samples.lags, samples.horizon) == (1, 2)
+
+
 class TestPgm:
     def test_round_trip_scaling(self, tmp_path):
         img = np.array([[0.0, 0.5], [0.25, 1.0]])

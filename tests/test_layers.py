@@ -180,7 +180,7 @@ class TestConvBackward:
     def test_layer_backward_releases_tape(self):
         layer = Conv3D(ConvSpec((1, 3, 3), 1, 2))
         layer.init_params(np.random.default_rng(0))
-        y = layer.forward(np.ones((1, 4, 4, 1), dtype=np.float32))
+        y = layer.forward(np.ones((1, 4, 4, 1), dtype=np.float32), train=True)
         layer.backward(np.ones_like(y))
         assert layer._tape is None
 
@@ -250,7 +250,7 @@ class TestMaxPool:
     def test_tie_routes_grad_to_first_row_major(self):
         pool = MaxPoolSpatial()
         x = np.ones((1, 2, 2, 1))
-        pool.forward(x)
+        pool.forward(x, train=True)
         gx = pool.backward(np.ones((1, 1, 1, 1)))
         np.testing.assert_array_equal(gx[0, :, :, 0], [[1.0, 0.0], [0.0, 0.0]])
 
@@ -270,7 +270,7 @@ class TestMaxPool:
                                     shape[3])).astype(dtype)
         want_y, want_gx = naive_maxpool(x, grad)
         pool = MaxPoolSpatial()
-        y = pool.forward(x)
+        y = pool.forward(x, train=True)
         gx = pool.backward(grad)
         assert y.dtype == dtype and gx.dtype == dtype
         assert y.tobytes() == want_y.tobytes()
@@ -279,7 +279,7 @@ class TestMaxPool:
     def test_signed_zero_tie_keeps_first(self):
         x = np.array([-1.0, -0.0, 0.0, -2.0]).reshape(1, 2, 2, 1)
         pool = MaxPoolSpatial()
-        y = pool.forward(x)
+        y = pool.forward(x, train=True)
         assert y.item() == 0.0 and np.signbit(y.item())
         gx = pool.backward(np.full((1, 1, 1, 1), -3.0))
         assert gx.ravel().tolist() == [0.0, -3.0, 0.0, 0.0]
@@ -288,7 +288,7 @@ class TestMaxPool:
     def test_nan_is_maximal_as_in_argmax(self):
         x = np.array([1.0, np.nan, 5.0, np.nan]).reshape(1, 2, 2, 1)
         pool = MaxPoolSpatial()
-        assert np.isnan(pool.forward(x).item())
+        assert np.isnan(pool.forward(x, train=True).item())
         gx = pool.backward(np.ones((1, 1, 1, 1)))
         assert gx.ravel().tolist() == [0.0, 1.0, 0.0, 0.0]
 
@@ -325,7 +325,7 @@ class TestActivation:
 
     def test_sigmoid_derivative_at_zero(self):
         act = Activation("sigmoid")
-        act.forward(np.zeros(1))
+        act.forward(np.zeros(1), train=True)
         assert act.backward(np.ones(1))[0] == pytest.approx(0.25, abs=1e-12)
         report = grad_check(Activation("sigmoid"), in_shape=(1, 2, 2, 1),
                             seed=3)
@@ -472,3 +472,63 @@ class TestPrimitiveGradChecks:
         report = grad_check(layer, in_shape=(1, 3, 3, 2), tol=1e-10,
                             step=1e-3, seed=19)
         assert report.passed, report
+
+
+# factories, so each case gets a fresh layer
+TAPED_LAYERS = {
+    "conv": lambda: Conv3D(ConvSpec((1, 3, 3), 2, 2)),
+    "relu": lambda: Activation("relu"),
+    "sigmoid": lambda: Activation("sigmoid"),
+    "maxpool": lambda: MaxPoolSpatial(),
+    "dropout": lambda: Dropout(0.5),
+}
+
+
+class TestTape:
+    """`train=True` keeps the tape, backward consumes it once and
+    `train=False` keeps nothing."""
+
+    def _layer_and_input(self, kind):
+        layer = TAPED_LAYERS[kind]()
+        layer.init_params(np.random.default_rng(0), dtype=np.float64)
+        return layer, np.random.default_rng(1).standard_normal((2, 4, 4, 2))
+
+    @pytest.mark.parametrize("kind", sorted(TAPED_LAYERS))
+    def test_backward_after_inference_raises(self, kind):
+        layer, x = self._layer_and_input(kind)
+        y = layer.forward(x)
+        assert layer._tape is None
+        with pytest.raises(RuntimeError, match=type(layer).__name__):
+            layer.backward(np.ones_like(y))
+
+    @pytest.mark.parametrize("kind", sorted(TAPED_LAYERS))
+    def test_backward_consumes_the_tape_once(self, kind):
+        layer, x = self._layer_and_input(kind)
+        y = layer.forward(x, train=True, rng=np.random.default_rng(2))
+        assert layer._tape is not None
+        layer.backward(np.ones_like(y))
+        assert layer._tape is None
+        with pytest.raises(RuntimeError):
+            layer.backward(np.ones_like(y))
+
+    @pytest.mark.parametrize("kind", sorted(TAPED_LAYERS))
+    def test_inference_forward_drops_an_unconsumed_tape(self, kind):
+        layer, x = self._layer_and_input(kind)
+        layer.forward(x, train=True, rng=np.random.default_rng(2))
+        layer.forward(x)
+        assert layer._tape is None
+
+    @pytest.mark.parametrize("kind", ["conv", "relu", "sigmoid", "maxpool"])
+    def test_kept_tape_leaves_the_output_unchanged(self, kind):
+        layer, x = self._layer_and_input(kind)
+        assert layer.forward(x, train=True).tobytes() == \
+            layer.forward(x).tobytes()
+
+    @pytest.mark.parametrize("layer", [
+        UpsampleNearestSpatial(), ImageLevelPool(), Activation("linear"),
+        Dropout(0.0)], ids=["upsample", "image_pool", "linear", "dropout0"])
+    def test_stateless_layers_keep_no_tape(self, layer):
+        x = np.random.default_rng(3).standard_normal((1, 4, 4, 2))
+        y = layer.forward(x, train=True, rng=np.random.default_rng(4))
+        assert layer._tape is None
+        assert layer.backward(np.ones_like(y)).shape == x.shape

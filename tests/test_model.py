@@ -173,6 +173,49 @@ class TestPredict:
         assert not y.any()
 
 
+class TestTapeFreeInference:
+    """Only a training forward keeps backward state."""
+
+    def test_predict_leaves_no_tape(self):
+        model = build_broad_unet(mini_config()).initialize(seed=7)
+        x = np.random.default_rng(7).random((2, 16, 16, 1), dtype=np.float32)
+        # an unconsumed training forward leaves tapes behind
+        model.forward(x, train=True, rng=np.random.default_rng(0))
+        assert any(layer._tape is not None for _, layer in model.root.walk())
+        model.predict(x)
+        assert all(layer._tape is None for _, layer in model.root.walk())
+
+    def test_training_forward_output_equals_inference(self):
+        # no dropout: keeping tapes must not move a single bit of the output
+        model = build_broad_unet(mini_config(dropout_rate=0.0)).initialize(
+            seed=8)
+        x = np.random.default_rng(8).standard_normal(
+            (2, 16, 16, 1)).astype(np.float32)
+        y = model.forward(x, train=True, rng=np.random.default_rng(0))
+        assert y.tobytes() == model.forward(x).tobytes()
+
+    @pytest.mark.parametrize("builder", [build_broad_unet, build_plain_unet])
+    def test_training_step_bitwise_unchanged_by_inference(self, builder):
+        model = builder(mini_config()).initialize(seed=9)
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal((2, 16, 16, 1)).astype(np.float32)
+        t = rng.random((1, 16, 16, 1), dtype=np.float32)
+
+        def step():
+            model.zero_grads()
+            y = model.forward(x, train=True, rng=np.random.default_rng(1))
+            gx = model.backward(y - t)
+            return [y, gx, *model.named_grads().values()]
+
+        first = step()
+        model.predict(x)
+        model.forward(x, train=True, rng=np.random.default_rng(2))
+        second = step()
+        assert len(first) == len(second)
+        for a, b in zip(first, second):
+            assert a.tobytes() == b.tobytes()
+
+
 class TestPersistence:
     def test_constant_sequence_zero_error(self):
         x = np.full((4, 8, 8, 1), 0.3)

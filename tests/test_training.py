@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from broadunet.datapipe import SampleSet, SynthConfig, make_samples, split_counts, synth_advection
-from broadunet.layers import Conv3D, ConvSpec, Layer
-from broadunet.model import Model, build_plain_unet, mini_config
+from broadunet.layers import Conv3D, ConvSpec, Dropout, Layer
+from broadunet.model import Model, build_broad_unet, build_plain_unet, mini_config
 from broadunet.training import (
     AdamState,
     TrainConfig,
@@ -299,6 +299,20 @@ class TestGradCheck:
         finally:
             Conv3D.backward = original
         assert not report.passed
+
+    def test_covers_dropout_backward(self, monkeypatch):
+        # every forward is a training forward, so a dropout backward that
+        # ignores its mask is caught
+        model = build_broad_unet(mini_config(base_filters=1)).initialize(
+            seed=6, dtype=np.float64)
+        monkeypatch.setattr(Dropout, "backward", lambda self, grad: grad)
+        report = grad_check(model, tol=1e-4, seed=7, max_input_coords=16,
+                            max_param_coords=48)
+        assert not report.passed
+
+    def test_layer_needs_in_shape(self):
+        with pytest.raises(ValueError, match="in_shape"):
+            grad_check(Conv3D(ConvSpec((1, 1, 1), 1, 1)))
 
     def test_model_requires_f64(self):
         model = build_plain_unet(mini_config(base_filters=1)).initialize(seed=4)
