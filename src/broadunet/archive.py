@@ -20,7 +20,7 @@ MAGIC = b"BTAR"
 VERSION = 1
 
 _DTYPE_CODES = {1: np.dtype("<f4"), 2: np.dtype("<f8"), 3: np.dtype("u1")}
-_CODES_BY_KIND = {"<f4": 1, "<f8": 2, "|u1": 3}
+_CODES_BY_KIND = {dtype.str: code for code, dtype in _DTYPE_CODES.items()}
 
 
 class FormatError(ValueError):
@@ -28,14 +28,10 @@ class FormatError(ValueError):
 
 
 def _dtype_code(arr: np.ndarray) -> int:
-    dt = arr.dtype
-    if dt == np.float32:
-        return 1
-    if dt == np.float64:
-        return 2
-    if dt == np.uint8:
-        return 3
-    raise ValueError(f"unsupported dtype {dt} (use f32, f64 or u8)")
+    code = _CODES_BY_KIND.get(arr.dtype.str)
+    if code is None:
+        raise ValueError(f"unsupported dtype {arr.dtype} (use f32, f64 or u8)")
+    return code
 
 
 def archive_save(path, records: dict) -> None:

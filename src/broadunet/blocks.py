@@ -26,8 +26,7 @@ class MultiScaleBlock(Layer):
     """Initial conv, parallel 1/3/5 branches, concat-merge, residual, ReLU.
 
     The residual connection taps the block input; a pointwise projection is
-    inserted when in/out channel counts differ. After each forward pass the
-    per-branch activations stay available in `branch_maps` for inspection.
+    inserted when in/out channel counts differ.
 
     time_extent is the temporal extent of the data the block sees: the input
     lag count for encoder blocks, 1 for decoder blocks. Temporal kernel
@@ -56,7 +55,6 @@ class MultiScaleBlock(Layer):
         else:
             self.project = None
         self.relu = Activation("relu")
-        self.branch_maps = None
 
     def children(self):
         named = [("initial", self.initial), *self.branches.children(),
@@ -76,11 +74,6 @@ class MultiScaleBlock(Layer):
     def forward(self, x, train=False, rng=None):
         h = self.initial.forward(x, train=train, rng=rng)
         cat = self.branches.forward(h, train=train, rng=rng)
-        # views into the concat that `merge` keeps for backward anyway
-        self.branch_maps = {
-            f"branch_{n}x{n}x{n}": view
-            for n, view in zip(BRANCH_SIZES, self.branches.split(cat))
-        }
         merged = self.merge.forward(cat, train=train, rng=rng)
         if self.project is not None:
             residual = self.project.forward(x, train=train, rng=rng)

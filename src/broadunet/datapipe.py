@@ -277,13 +277,19 @@ def _load_records(path, kind, names) -> dict:
 
 def load_frames(path) -> FrameSequence:
     records = _load_records(path, "frames", ("frames", "cadence_minutes"))
+    frames, cadence = records["frames"], records["cadence_minutes"]
+    if frames.ndim != 4 or cadence.size != 1 or not 0 < cadence.item() < np.inf:
+        raise DataError(
+            f"frames archive {path} needs (N, H, W, C) frames and one finite "
+            f"positive cadence_minutes value; it holds frames of shape "
+            f"{frames.shape} and {cadence.size} cadence_minutes value(s), "
+            f"starting {cadence.ravel()[:3].tolist()}")
     meta = {}
     try:
         meta = read_manifest(str(path) + ".manifest")
     except OSError:
         pass
-    return FrameSequence(records["frames"],
-                         float(records["cadence_minutes"][0]), metadata=meta)
+    return FrameSequence(frames, float(cadence.item()), metadata=meta)
 
 
 def save_samples(path, samples: SampleSet) -> None:
@@ -305,9 +311,15 @@ def load_samples(path) -> SampleSet:
             f"samples archive {path} needs equal window counts and two "
             f"lags_horizon values; it holds window counts {counts} and "
             f"{records['lags_horizon'].size} lags_horizon value(s)")
+    inputs, targets = records["inputs"], records["targets"]
+    if inputs.ndim != 5 or targets.shape[1:] != (1, *inputs.shape[2:]):
+        raise DataError(
+            f"samples archive {path} needs (N, T, H, W, F) inputs and "
+            f"(N, 1, H, W, F) targets; it holds inputs of shape "
+            f"{inputs.shape} and targets of shape {targets.shape}")
     lags, horizon = records["lags_horizon"]
-    return SampleSet(records["inputs"], records["targets"], int(lags),
-                     int(horizon), records["starts"].astype(np.int64))
+    return SampleSet(inputs, targets, int(lags), int(horizon),
+                     records["starts"].astype(np.int64))
 
 
 def write_manifest(path, entries: dict) -> None:

@@ -1,10 +1,9 @@
 """Differentiable primitive layers with explicit forward/backward rules.
 
-A layer whose backward needs forward state keeps it in one slot, `_tape`:
-`train=True` keeps the tape, `backward` consumes it once, `train=False`
-keeps nothing (and drops any tape left unconsumed). A backward with no tape
-raises `RuntimeError`. Parameters live in `self.params` and gradients
-accumulate into `self.grads` until zeroed.
+Backward state lives in `_tape`, the only attribute a forward writes:
+`train=True` keeps it, `backward` consumes it once (raising `RuntimeError`
+without it) and `train=False` leaves it `None`. Parameters live in
+`self.params` and gradients accumulate into `self.grads` until zeroed.
 
 Convolutions are anisotropic 3D with per-axis dilation, stride fixed at 1.
 Downsampling is done exclusively by spatial max pooling.
@@ -13,7 +12,6 @@ Downsampling is done exclusively by spatial max pooling.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -427,14 +425,13 @@ class Sequential(Layer):
 class Parallel(Layer):
     """Named branches on one input, outputs concatenated on channels.
 
-    Backward slices the gradient per branch and sums the branch input
-    gradients left to right, in branch order.
+    The tape is the branch output widths. Backward slices the gradient by
+    them and sums the branch input gradients left to right, in branch order.
     """
 
     def __init__(self, branches):
         super().__init__()
         self.named_branches = list(branches)
-        self._widths = None
 
     def __len__(self):
         return len(self.named_branches)
@@ -451,18 +448,14 @@ class Parallel(Layer):
     def forward(self, x, train=False, rng=None):
         outs = [b.forward(x, train=train, rng=rng)
                 for _, b in self.named_branches]
-        self._widths = [out.shape[-1] for out in outs]
+        self._tape = [out.shape[-1] for out in outs] if train else None
         return np.concatenate(outs, axis=-1)
 
-    def split(self, y):
-        """Per-branch channel views of an output-shaped array."""
-        ends = list(itertools.accumulate(self._widths))
-        return [y[..., end - w:end] for w, end in zip(self._widths, ends)]
-
     def backward(self, grad):
-        gx = None
-        for (_, branch), g in zip(self.named_branches, self.split(grad)):
-            gb = branch.backward(np.ascontiguousarray(g))
+        gx, end = None, 0
+        for (_, branch), width in zip(self.named_branches, self._take_tape()):
+            end += width
+            gb = branch.backward(np.ascontiguousarray(grad[..., end - width:end]))
             gx = gb if gx is None else gx + gb
         return gx
 

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .archive import FormatError, archive_load, archive_save
-from .blocks import ASPP_RATES, Aspp, MultiScaleBlock
+from .blocks import ASPP_RATES, BRANCH_SIZES, Aspp, MultiScaleBlock
 from .layers import (
     Activation,
     Conv3D,
@@ -334,15 +334,28 @@ def persistence_predict(x: np.ndarray) -> np.ndarray:
 
 
 def dump_feature_maps(model: Model, x: np.ndarray, block_index: int) -> list:
-    """Per-branch activations of one multi-scale block after a forward pass.
+    """Per-branch activations of one multi-scale block on input `x`.
 
     Returns [(label, tensor)] for the 1x1x1, 3x3x3 and 5x5x5 branches of
-    the `block_index`-th multi-scale block in `Layer.walk` order.
+    the `block_index`-th multi-scale block in `Layer.walk` order, rerun on
+    the block's input as one `predict` recorded it.
     """
     blocks = [layer for _, layer in model.root.walk()
               if isinstance(layer, MultiScaleBlock)]
     if not 0 <= block_index < len(blocks):
         raise ValueError(
             f"block_index {block_index} out of range (model has {len(blocks)})")
-    model.predict(x)
-    return list(blocks[block_index].branch_maps.items())
+    block, inputs = blocks[block_index], []
+
+    def recording_forward(h, train=False, rng=None):
+        inputs.append(h)
+        return type(block).forward(block, h, train=train, rng=rng)
+
+    block.forward = recording_forward  # shadows the class's, for one predict
+    try:
+        model.predict(x)
+    finally:
+        del block.forward
+    h = block.initial.forward(inputs[0])
+    return [(f"branch_{n}x{n}x{n}", branch.forward(h))
+            for n, (_, branch) in zip(BRANCH_SIZES, block.branches.children())]

@@ -117,6 +117,12 @@ def train(model, train_set, val_set, cfg: TrainConfig) -> TrainResult:
     """
     if len(train_set.inputs) == 0 or len(val_set.inputs) == 0:
         raise ValueError("train and validation sets must be nonempty")
+    in_shape, out_shape = model.input_shape(), model.out_shape()
+    for sample_set in (train_set, val_set):
+        for x, t in zip(sample_set.inputs, sample_set.targets):
+            if x.shape != in_shape or t.shape != out_shape:
+                raise ValueError(
+                    f"sample shapes {x.shape}/{t.shape} do not match model")
     loss_fn = LOSSES[cfg.loss]
     if not model.initialized:
         model.initialize(seed=cfg.seed)
@@ -136,13 +142,8 @@ def train(model, train_set, val_set, cfg: TrainConfig) -> TrainResult:
                 batch = order[start:start + cfg.batch_size]
                 model.zero_grads()
                 for i in batch:
-                    x = train_set.inputs[i]
-                    t = train_set.targets[i]
-                    if x.shape != model.input_shape() or t.shape != model.out_shape():
-                        raise ValueError(
-                            f"sample shapes {x.shape}/{t.shape} do not match model")
-                    y = model.forward(x, train=True, rng=rng)
-                    loss, grad = loss_fn(y, t)
+                    y = model.forward(train_set.inputs[i], train=True, rng=rng)
+                    loss, grad = loss_fn(y, train_set.targets[i])
                     epoch_loss += loss
                     model.backward(grad / len(batch))
                 adam_step(params, model.named_grads(), state, cfg.learning_rate)
@@ -212,6 +213,9 @@ def evaluate(predictor, test_set, threshold: float,
     n_pixels = 0
     for x, t in zip(test_set.inputs, test_set.targets):
         pred = predict(x)
+        if pred.shape != t.shape:
+            raise ValueError(
+                f"prediction shape {pred.shape} != target shape {t.shape}")
         diff = (pred - t) * denorm_factor
         sq_err += float((diff * diff).sum())
         pb = binarize(pred, threshold)

@@ -3,6 +3,7 @@ import pytest
 
 from broadunet.blocks import ASPP_RATES, Aspp, MultiScaleBlock
 from broadunet.layers import Conv3D
+from broadunet.model import build_broad_unet, dump_feature_maps, mini_config
 from broadunet.training import grad_check
 
 from conftest import closed_form_conv_params
@@ -96,22 +97,35 @@ class TestMultiScaleBlock:
         report = grad_check(block, in_shape=(2, 6, 6, 2), tol=1e-4, seed=23)
         assert report.passed, report
 
-    def test_branch_maps_recorded(self):
-        block = init_layer(MultiScaleBlock(1, 2))
-        block.forward(np.random.default_rng(6).random((1, 4, 4, 1)))
-        assert set(block.branch_maps) == {
-            "branch_1x1x1", "branch_3x3x3", "branch_5x5x5"}
+    @pytest.mark.parametrize("block_index", [0, 5],
+                             ids=["encoder", "decoder"])
+    def test_feature_maps_are_branches_on_the_real_input(
+            self, monkeypatch, block_index):
+        model = build_broad_unet(mini_config()).initialize(seed=10)
+        x = np.random.default_rng(10).standard_normal(
+            (2, 16, 16, 1)).astype(np.float32)
+        block = [layer for _, layer in model.root.walk()
+                 if isinstance(layer, MultiScaleBlock)][block_index]
+        seen, block_forward = [], MultiScaleBlock.forward
 
-    def test_branch_maps_hold_branch_outputs(self):
-        block = init_layer(MultiScaleBlock(2, 3, time_extent=2))
-        x = np.random.default_rng(10).standard_normal((2, 6, 6, 2))
-        block.forward(x)
-        h = block.initial.forward(x)
+        def recording(layer, h, train=False, rng=None):
+            if layer is block:
+                seen.append(h)
+            return block_forward(layer, h, train=train, rng=rng)
+
+        monkeypatch.setattr(MultiScaleBlock, "forward", recording)
+        maps = dump_feature_maps(model, x, block_index)
+        monkeypatch.undo()
+        assert "forward" not in vars(block)
+        assert len(seen) == 1  # one forward; the rerun skips the block
+        h = block.initial.forward(seen[0])
         expected = [branch.forward(h)
                     for _, branch in block.branches.children()]
-        assert len(block.branch_maps) == len(block.branches) == 3
-        for got, want in zip(block.branch_maps.values(), expected):
-            np.testing.assert_array_equal(got, want)
+        assert [label for label, _ in maps] == [
+            "branch_1x1x1", "branch_3x3x3", "branch_5x5x5"]
+        for (_, got), want in zip(maps, expected):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
     def test_invalid_channels(self):
         with pytest.raises(ValueError):

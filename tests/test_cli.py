@@ -347,7 +347,11 @@ class TestWrongInputs:
         lambda records: records.update(targets=records["targets"][:5]),
         lambda records: records.update(
             lags_horizon=np.array([2.0, 1.0, 7.0])),
-    ], ids=["five_of_thirteen_targets", "three_lags_horizon_values"])
+        *(lambda records, window=window: records.update(targets=np.zeros(
+            (len(records["inputs"]), *window), dtype=np.float32))
+          for window in [(1, 1, 1, 1), (2, 16, 16, 1), (1, 8, 8, 1)]),
+    ], ids=["five_of_thirteen_targets", "three_lags_horizon_values",
+            "one_pixel_targets", "two_frame_targets", "half_size_targets"])
     def test_inconsistent_samples_archive(self, workspace, tmp_path, capsys,
                                           edit):
         records = archive_load(workspace["samples"])
@@ -360,6 +364,25 @@ class TestWrongInputs:
         assert code == 2
         assert err.startswith("error: ") and bad in err
         assert not (tmp_path / "m.csv").exists()
+
+    @pytest.mark.parametrize("edit", [
+        lambda records: records.update(cadence_minutes=np.zeros(0)),
+        lambda records: records.update(cadence_minutes=np.array([np.nan])),
+        lambda records: records.update(cadence_minutes=np.array([-5.0])),
+        lambda records: records.update(frames=records["frames"][..., 0]),
+    ], ids=["empty_cadence", "nan_cadence", "negative_cadence",
+            "rank3_frames"])
+    def test_bad_frames_archive(self, workspace, tmp_path, capsys, edit):
+        records = archive_load(workspace["frames"])
+        edit(records)
+        bad = str(tmp_path / "bad_frames.btar")
+        archive_save(bad, records)
+        code, err = self._run(capsys, [
+            "make-samples", "--frames", bad, "--lags", "2",
+            "--out", str(tmp_path / "s.btar")])
+        assert code == 2
+        assert err.startswith("error: ") and bad in err
+        assert not (tmp_path / "s.btar").exists()
 
     @pytest.mark.parametrize("recorded", [True, False],
                              ids=["recorded_rates", "names_only"])

@@ -105,6 +105,11 @@ class TestArchive:
         with pytest.raises(ValueError, match="dtype"):
             archive_save(tmp_path / "t.btar", {"x": np.zeros(2, dtype=np.int32)})
 
+    @pytest.mark.parametrize("dtype", [">f4", ">f8"])
+    def test_rejects_big_endian(self, tmp_path, dtype):
+        with pytest.raises(ValueError, match=f"unsupported dtype {dtype}"):
+            archive_save(tmp_path / "t.btar", {"x": np.zeros(2, dtype=dtype)})
+
     @pytest.mark.parametrize("name,dims", [
         (b"\xff\xfe", (2,)),
         (b"x", (2 ** 62, 2 ** 62)),
@@ -167,19 +172,29 @@ class TestArchive:
 
 
 class TestSamplesArchive:
-    @given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3),
-           st.integers(0, 4))
-    @settings(max_examples=60, deadline=None)
-    def test_any_window_counts_load_or_data_error(
-            self, tmp_path_factory, n_inputs, n_targets, n_starts, n_lh):
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_any_window_counts_load_or_data_error(self, tmp_path_factory,
+                                                  data):
+        # each field is drawn consistent half the time, so whole consistent
+        # archives and archives with one field wrong both come up often
+        n_inputs = data.draw(st.integers(0, 3))
+        n_targets, n_starts = (
+            data.draw(st.one_of(st.just(n_inputs), st.integers(0, 3)))
+            for _ in range(2))
+        n_lh = data.draw(st.one_of(st.just(2), st.integers(0, 4)))
+        target_window = data.draw(st.one_of(
+            st.just((1, 4, 4, 1)),
+            st.lists(st.integers(1, 4), max_size=5).map(tuple)))
         path = tmp_path_factory.getbasetemp() / "fuzz_samples.btar"
         archive_save(path, {
             "inputs": np.zeros((n_inputs, 2, 4, 4, 1), dtype=np.float32),
-            "targets": np.zeros((n_targets, 1, 4, 4, 1), dtype=np.float32),
+            "targets": np.zeros((n_targets, *target_window), dtype=np.float32),
             "starts": np.arange(n_starts, dtype=np.float64),
             "lags_horizon": np.arange(1.0, n_lh + 1.0),
         })
-        consistent = n_inputs == n_targets == n_starts and n_lh == 2
+        consistent = (n_inputs == n_targets == n_starts and n_lh == 2
+                      and target_window == (1, 4, 4, 1))
         try:
             samples = load_samples(path)
         except DataError:
@@ -188,6 +203,32 @@ class TestSamplesArchive:
             assert consistent
             assert len(samples.targets) == len(samples.starts) == len(samples)
             assert (samples.lags, samples.horizon) == (1, 2)
+
+
+class TestFramesArchive:
+    # as above, each field is drawn valid half the time
+    @given(st.one_of(st.lists(st.integers(1, 3), min_size=4, max_size=4),
+                     st.lists(st.integers(1, 3), max_size=5)),
+           st.one_of(st.lists(st.floats(0.5, 60.0), min_size=1, max_size=1),
+                     st.lists(st.floats(), max_size=3)))
+    @settings(max_examples=100, deadline=None)
+    def test_any_frames_and_cadence_load_or_data_error(
+            self, tmp_path_factory, dims, cadence):
+        path = tmp_path_factory.getbasetemp() / "fuzz_frames.btar"
+        archive_save(path, {
+            "frames": np.zeros(dims, dtype=np.float32),
+            "cadence_minutes": np.array(cadence, dtype=np.float64),
+        })
+        consistent = (len(dims) == 4 and len(cadence) == 1
+                      and 0 < cadence[0] < np.inf)
+        try:
+            seq = load_frames(path)
+        except DataError:
+            assert not consistent
+        else:
+            assert consistent
+            assert seq.frames.shape == tuple(dims)
+            assert seq.cadence_minutes == cadence[0]
 
 
 class TestPgm:

@@ -418,7 +418,7 @@ class TestParallel:
     def test_backward_sums_branch_grads(self):
         layer = Parallel([("a", Activation("linear")),
                           ("b", Activation("linear"))])
-        layer.forward(np.zeros((1, 2, 2, 1)))
+        layer.forward(np.zeros((1, 2, 2, 1)), train=True)
         grad = np.stack([np.full((1, 2, 2), 2.0), np.full((1, 2, 2), 3.0)],
                         axis=-1)
         np.testing.assert_array_equal(layer.backward(grad),
@@ -481,6 +481,9 @@ TAPED_LAYERS = {
     "sigmoid": lambda: Activation("sigmoid"),
     "maxpool": lambda: MaxPoolSpatial(),
     "dropout": lambda: Dropout(0.5),
+    # parameter-free branches, so the tape checked is Parallel's own
+    "parallel": lambda: Parallel([("relu", Activation("relu")),
+                                  ("pool", ImageLevelPool())]),
 }
 
 
@@ -518,7 +521,8 @@ class TestTape:
         layer.forward(x)
         assert layer._tape is None
 
-    @pytest.mark.parametrize("kind", ["conv", "relu", "sigmoid", "maxpool"])
+    @pytest.mark.parametrize("kind", ["conv", "relu", "sigmoid", "maxpool",
+                                      "parallel"])
     def test_kept_tape_leaves_the_output_unchanged(self, kind):
         layer, x = self._layer_and_input(kind)
         assert layer.forward(x, train=True).tobytes() == \

@@ -6,7 +6,7 @@ import pytest
 from broadunet import archive
 from broadunet import model as model_module
 from broadunet.archive import FormatError
-from broadunet.layers import Conv3D
+from broadunet.layers import Conv3D, Layer, Parallel
 from broadunet.model import (
     Model,
     ModelConfig,
@@ -173,8 +173,49 @@ class TestPredict:
         assert not y.any()
 
 
+def reachable_layers(root):
+    """Every Layer reachable from `root` through attributes, lists and
+    tuples: unlike `walk`, this reaches the `Parallel` nodes and `graph`."""
+    found, stack = {}, [root]
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+        elif isinstance(obj, Layer) and id(obj) not in found:
+            found[id(obj)] = obj
+            stack.extend(vars(obj).values())
+    return list(found.values())
+
+
 class TestTapeFreeInference:
     """Only a training forward keeps backward state."""
+
+    @pytest.mark.parametrize("builder", [build_broad_unet, build_plain_unet])
+    def test_forward_writes_only_the_tape(self, builder):
+        model = builder(mini_config()).initialize(seed=6)
+        x = np.random.default_rng(6).random((2, 16, 16, 1), dtype=np.float32)
+        layers = reachable_layers(model.root)
+        assert model.root.graph in layers
+        assert any(isinstance(layer, Parallel) for layer in layers)
+
+        def changed(before):
+            """(layer type, attribute) of each attribute but `_tape` that is
+            no longer the object it was in `before`, or is new or gone."""
+            gone = object()
+            return {(type(layer).__name__, key)
+                    for layer, attrs in zip(layers, before)
+                    for key in attrs.keys() | vars(layer).keys()
+                    if key != "_tape" and attrs.get(key, gone)
+                    is not vars(layer).get(key, gone)}
+
+        before = [dict(vars(layer)) for layer in layers]
+        model.predict(x)
+        assert changed(before) == set()
+        assert all(layer._tape is None for layer in layers)
+        model.forward(x, train=True, rng=np.random.default_rng(0))
+        assert changed(before) == set()
+        assert any(isinstance(layer, Parallel) and layer._tape is not None
+                   for layer in layers)
 
     def test_predict_leaves_no_tape(self):
         model = build_broad_unet(mini_config()).initialize(seed=7)

@@ -171,6 +171,27 @@ class TestTrainLoop:
         with pytest.raises(ValueError):
             train(model, train_set, empty, TrainConfig())
 
+    @pytest.mark.parametrize("bad", ["train", "val"])
+    def test_mis_shaped_set_fails_before_training(self, tmp_path, monkeypatch,
+                                                  bad):
+        train_set, val_set, _ = _tiny_split(seed=3)
+        sets = {"train": train_set, "val": val_set}
+        good = sets[bad]
+        # one target of the last window is cropped to 8x8
+        targets = list(good.targets[:-1]) + [good.targets[-1][:, :8, :8]]
+        sets[bad] = SampleSet(good.inputs, targets, good.lags, good.horizon,
+                              good.starts)
+        steps = []
+        monkeypatch.setattr("broadunet.training.adam_step",
+                            lambda *args: steps.append(args))
+        path = tmp_path / "ckpt.btar"
+        with pytest.raises(ValueError, match=r"sample shapes .*\(1, 8, 8, 1\)"):
+            train(build_plain_unet(mini_config(base_filters=1)),
+                  sets["train"], sets["val"],
+                  TrainConfig(max_epochs=1, checkpoint_path=str(path)))
+        assert steps == []
+        assert not path.exists()
+
     def test_history_csv_round_trip(self, tmp_path):
         history = [(1, 0.1 + 1e-17, 0.25), (2, 1.0 / 3.0, 0.125)]
         path = tmp_path / "history.csv"
@@ -248,6 +269,11 @@ class TestMetrics:
         a = evaluate(model, test_set, threshold=0.5)
         b = evaluate(model.predict, test_set, threshold=0.5)
         assert a == b
+
+    def test_prediction_shape_must_match_target(self):
+        _, _, test_set = _tiny_split(seed=6)
+        with pytest.raises(ValueError, match="prediction shape"):
+            evaluate(lambda x: x[-1:, :8], test_set, 0.5)
 
     def test_empty_test_set(self):
         _, _, test_set = _tiny_split(seed=6)
