@@ -49,7 +49,8 @@ def archive_save(path, records: dict) -> None:
             f.write(encoded)
             f.write(struct.pack("<BB", code, arr.ndim))
             f.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-            f.write(np.ascontiguousarray(arr, dtype=_DTYPE_CODES[code]).tobytes())
+            # the buffer itself, so a contiguous payload is written uncopied
+            f.write(np.ascontiguousarray(arr, dtype=_DTYPE_CODES[code]).data)
 
 
 def archive_load(path) -> dict:

@@ -159,6 +159,10 @@ def _load_or_synth_samples(args):
 
 def cmd_train(args) -> int:
     t0 = time.monotonic()
+    checkpoint = os.path.join(args.out_dir, "checkpoint.btar")
+    train_cfg = training.TrainConfig(
+        loss=args.loss, learning_rate=args.lr, batch_size=args.batch,
+        max_epochs=args.epochs, seed=args.seed, checkpoint_path=checkpoint)
     os.makedirs(args.out_dir, exist_ok=True)
     samples = _load_or_synth_samples(args)
     train_set, val_set, test_set = datapipe.split_counts(
@@ -169,10 +173,7 @@ def cmd_train(args) -> int:
                       base_filters=args.f0, factorized=args.factorized,
                       dropout_rate=args.dropout, head=head)
     model = ARCHS[args.arch](cfg).initialize(seed=args.seed)
-    checkpoint = os.path.join(args.out_dir, "checkpoint.btar")
-    result = training.train(model, train_set, val_set, training.TrainConfig(
-        loss=args.loss, learning_rate=args.lr, batch_size=args.batch,
-        max_epochs=args.epochs, seed=args.seed, checkpoint_path=checkpoint))
+    result = training.train(model, train_set, val_set, train_cfg)
     history_path = os.path.join(args.out_dir, "history.csv")
     training.save_history_csv(result.history, history_path)
     best = Model.load(checkpoint)
@@ -244,11 +245,13 @@ def cmd_params(args) -> int:
 
 
 def _primitive_layer_checks():
-    conv = Conv3D(ConvSpec((2, 3, 3), 2, 3))
+    # 32 channels on a 24x24 map: the plan spans two row blocks, the last
+    # one partial, so the blocked backward is checked too
+    conv = Conv3D(ConvSpec((2, 3, 3), 32, 4))
     dilated = Conv3D(ConvSpec((1, 3, 3), 2, 2, dilation=(1, 2, 2)))
     valid = Conv3D(ConvSpec((2, 3, 3), 2, 2, padding="valid"))
     return [
-        ("conv3d_same", conv, (3, 6, 6, 2)),
+        ("conv3d_same", conv, (2, 24, 24, 32)),
         ("conv3d_dilated", dilated, (2, 8, 8, 2)),
         ("conv3d_valid", valid, (4, 8, 8, 2)),
         ("maxpool", MaxPoolSpatial(), (2, 6, 6, 3)),

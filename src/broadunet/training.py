@@ -93,6 +93,11 @@ class TrainConfig:
     seed: int = 0
     checkpoint_path: str | None = None
 
+    def __post_init__(self):
+        for name in ("batch_size", "max_epochs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+
 
 @dataclass
 class TrainResult:

@@ -34,6 +34,32 @@ def naive_conv3d(x, weights, bias, spec):
     return y
 
 
+def naive_conv3d_backward(x, weights, spec, grad):
+    """(grad_x, grad_w) of sum(grad * naive_conv3d(x, weights, ...)), by
+    the same explicit loops as `naive_conv3d`."""
+    kt, kh, kw = spec.kernel
+    dt, dh, dw = spec.dilation
+    eff = [(k - 1) * d + 1 for k, d in zip(spec.kernel, spec.dilation)]
+    if spec.padding == "same":
+        pads = [((e - 1) // 2, (e - 1) - (e - 1) // 2) for e in eff]
+    else:
+        pads = [(0, 0)] * 3
+    xp = np.pad(x, (*pads, (0, 0)))
+    gxp = np.zeros(xp.shape, dtype=np.float64)
+    gw = np.zeros(weights.shape, dtype=np.float64)
+    to, ho, wo, _ = grad.shape
+    for t, h, w, o in itertools.product(range(to), range(ho), range(wo),
+                                        range(spec.out_channels)):
+        for i, j, k, c in itertools.product(range(kt), range(kh), range(kw),
+                                            range(spec.in_channels)):
+            pos = (t + i * dt, h + j * dh, w + k * dw, c)
+            gw[i, j, k, c, o] += grad[t, h, w, o] * xp[pos]
+            gxp[pos] += grad[t, h, w, o] * weights[i, j, k, c, o]
+    (pt, _), (ph, _), (pw, _) = pads
+    t, h, w, _ = x.shape
+    return gxp[pt:pt + t, ph:ph + h, pw:pw + w], gw
+
+
 def naive_maxpool(x, grad):
     """2x2 stride-2 spatial max pooling oracle (explicit loops).
 

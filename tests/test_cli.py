@@ -63,6 +63,20 @@ class TestExitCodes:
         assert run(["train", "--task", "precip",
                     "--out-dir", str(tmp_path / "r")]) == 1
 
+    @pytest.mark.parametrize("flag,value,field", [
+        ("--batch", "-1", "batch_size"),
+        ("--batch", "0", "batch_size"),
+        ("--epochs", "0", "max_epochs"),
+    ])
+    def test_bad_training_count_is_usage_error(self, tmp_path, capsys, flag,
+                                               value, field):
+        out_dir = tmp_path / "r"
+        assert run(["train", "--task", "synth", "--hw", "16", "--train-n", "8",
+                    "--val-n", "4", "--test-n", "4", flag, value,
+                    "--out-dir", str(out_dir)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {field} must be")
+        assert not out_dir.exists()
+
     def test_failed_grad_check_is_numeric_error(self, capsys):
         assert run(["grad-check", "--arch", "layers", "--tol", "1e-18"]) == 3
         assert "FAIL" in capsys.readouterr().out

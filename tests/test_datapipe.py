@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -67,6 +68,34 @@ class TestArchive:
             assert loaded[name].dtype == arr.dtype
             assert loaded[name].shape == arr.shape
             np.testing.assert_array_equal(loaded[name], arr)
+
+    @pytest.mark.parametrize("arr,code", [
+        (np.arange(12, dtype="<f4").reshape(3, 4), 1),
+        (np.arange(12, dtype="<f8").reshape(4, 3).T, 2),
+        (np.arange(24, dtype="<f4").reshape(4, 6)[:, ::2], 1),
+        (np.arange(6, dtype=np.uint8).reshape(2, 3)[::-1], 3),
+        (np.zeros((0, 3), dtype="<f4"), 1),
+        (np.zeros((2, 0), dtype="<f8"), 2),
+        (np.array(2.5, dtype="<f4"), 1),
+        (np.array(-1.25, dtype="<f8"), 2),
+        (np.array(7, dtype=np.uint8), 3),
+    ], ids=["f32", "f64_transposed", "f32_strided", "u8_reversed",
+            "f32_empty", "f64_empty", "f32_rank0", "f64_rank0", "u8_rank0"])
+    def test_record_bytes_follow_the_layout(self, tmp_path, arr, code):
+        path = tmp_path / "t.btar"
+        archive_save(path, {"x": arr})
+        assert path.read_bytes() == raw_archive(b"x", arr.shape,
+                                                arr.tobytes(), code)
+
+    def test_save_makes_no_payload_copy(self, tmp_path):
+        arr = np.ones(4 << 20, dtype=np.float32)  # 16 MiB
+        tracemalloc.start()
+        try:
+            archive_save(tmp_path / "big.btar", {"x": arr})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_bad_magic_reports_offset_zero(self, tmp_path):
         path = tmp_path / "bad.btar"

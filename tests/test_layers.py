@@ -17,10 +17,11 @@ from broadunet.layers import (
     conv_unit,
     factor_specs,
 )
+from broadunet.model import ARCHS, ModelConfig
 from broadunet.tensor import ShapeError
 from broadunet.training import grad_check
 
-from conftest import naive_conv3d, naive_maxpool
+from conftest import naive_conv3d, naive_conv3d_backward, naive_maxpool
 
 
 class TestConvSpec:
@@ -183,6 +184,117 @@ class TestConvBackward:
         y = layer.forward(np.ones((1, 4, 4, 1), dtype=np.float32), train=True)
         layer.backward(np.ones_like(y))
         assert layer._tape is None
+
+
+@pytest.fixture
+def block_rows(monkeypatch):
+    """`set(spec, rows)` sizes the row blocks so `spec` gets `rows` grid rows
+    per block; cached plans are dropped on each change and after the test."""
+    def set_rows(spec, rows):
+        monkeypatch.setattr(layers, "_BLOCK_BYTES",
+                            4 * max(spec.in_channels, spec.out_channels) * rows)
+        layers._tap_plan.cache_clear()
+    yield set_rows
+    layers._tap_plan.cache_clear()
+
+
+# specs and input shapes whose spans are cut into several row blocks
+BLOCKED_CASES = [
+    pytest.param(ConvSpec((2, 3, 3), 2, 3), (3, 5, 6, 2), id="same"),
+    pytest.param(ConvSpec((3, 3, 3), 1, 2, padding="valid"), (4, 6, 6, 1),
+                 id="valid"),
+    pytest.param(ConvSpec((1, 3, 3), 2, 2, dilation=(1, 2, 2)), (2, 7, 7, 2),
+                 id="dilated"),
+    pytest.param(ConvSpec((2, 3, 3), 2, 2, dilation=(2, 2, 2),
+                          padding="valid"), (4, 7, 6, 2), id="dilated_valid"),
+    pytest.param(ConvSpec((5, 1, 1), 2, 3), (6, 3, 4, 2), id="temporal"),
+]
+
+
+class TestRowBlocks:
+    def test_blocks_tile_the_span(self):
+        spec = ConvSpec((1, 1, 5), 8, 8)
+        plan = layers._tap_plan(spec, (12, 288, 288))
+        rows = layers._BLOCK_BYTES // (4 * 8)
+        assert plan.blocks[0] == (0, rows)
+        assert all(a[1] == b[0] for a, b in zip(plan.blocks, plan.blocks[1:]))
+        assert plan.blocks[-1][1] == plan.span
+        assert 0 < plan.blocks[-1][1] - plan.blocks[-1][0] < rows
+
+    @pytest.mark.parametrize("spec,in_thw", [
+        (ConvSpec((1, 1, 1), 3, 2), (2, 3, 4)),
+        # dilation beyond the input: only the centre tap is live
+        (ConvSpec((1, 3, 3), 2, 2, dilation=(1, 6, 6)), (2, 2, 2)),
+    ])
+    def test_a_lone_tap_is_one_block(self, block_rows, spec, in_thw):
+        block_rows(spec, 1)
+        plan = layers._tap_plan(spec, in_thw)
+        assert len(plan.taps) == 1
+        assert plan.blocks == ((0, plan.span),)
+
+    # 11 rows per block leaves a partial last block in every case
+    @pytest.mark.parametrize("rows", [1, 11])
+    @pytest.mark.parametrize("spec,shape", BLOCKED_CASES)
+    def test_matches_naive_oracle(self, block_rows, spec, shape, rows):
+        block_rows(spec, rows)
+        plan = layers._tap_plan(spec, shape[:3])
+        assert len(plan.blocks) > 1
+        assert rows == 1 or plan.span % rows
+        rng = np.random.default_rng(29)
+        x = rng.standard_normal(shape)
+        w = rng.standard_normal(spec.weight_shape())
+        b = rng.standard_normal(spec.out_channels)
+        y, tape = conv3d_forward(x, w, b, spec)
+        np.testing.assert_allclose(y, naive_conv3d(x, w, b, spec),
+                                   rtol=1e-10, atol=1e-10)
+        g = rng.standard_normal(y.shape)
+        gx, gw, _ = conv3d_backward(tape, g)
+        want_gx, want_gw = naive_conv3d_backward(x, w, spec, g)
+        np.testing.assert_allclose(gx, want_gx, rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(gw, want_gw, rtol=1e-10, atol=1e-10)
+
+    @pytest.mark.parametrize("spec,shape", [
+        (ConvSpec((3, 3, 3), 1, 4), (4, 6, 7, 1)),
+        (ConvSpec((1, 3, 3), 1, 3, dilation=(1, 2, 2)), (2, 9, 8, 1)),
+        (ConvSpec((2, 3, 3), 1, 2, padding="valid"), (3, 7, 6, 1)),
+    ])
+    def test_forward_bits_do_not_depend_on_the_partition(
+            self, block_rows, spec, shape):
+        # with one input channel each tap's product is one rounded multiply
+        # in any BLAS, so equal bits show that every row sums its taps in
+        # the same order whatever the blocks
+        rng = np.random.default_rng(31)
+        x = rng.standard_normal(shape).astype(np.float32)
+        w = rng.standard_normal(spec.weight_shape()).astype(np.float32)
+        b = rng.standard_normal(spec.out_channels).astype(np.float32)
+        outs = []
+        for rows in (1, 5, 64, 1 << 20):
+            block_rows(spec, rows)
+            outs.append(conv3d_forward(x, w, b, spec)[0].tobytes())
+        assert outs[1:] == outs[:1] * 3
+
+    def test_grad_check_on_a_multi_block_plan(self, block_rows):
+        spec = ConvSpec((2, 3, 3), 3, 4)
+        block_rows(spec, 13)
+        assert len(layers._tap_plan(spec, (3, 7, 8)).blocks) > 1
+        report = grad_check(Conv3D(spec), in_shape=(3, 7, 8, 3), tol=1e-6,
+                            seed=23)
+        assert report.passed, report
+
+    @pytest.mark.parametrize("arch", ["broad-unet", "unet"])
+    def test_desk_scale_plans_are_one_block(self, monkeypatch, arch):
+        # so desk-scale outputs and gradients keep the unblocked bits
+        seen = []
+
+        def recording(x, weights, bias, spec):
+            seen.append(layers._tap_plan(spec, x.shape[:3]))
+            return conv3d_forward(x, weights, bias, spec)
+
+        monkeypatch.setattr(layers, "conv3d_forward", recording)
+        model = ARCHS[arch](ModelConfig(lags=4, height=32, width=32,
+                                        base_filters=4)).initialize(seed=0)
+        model.predict(np.zeros((4, 32, 32, 1), dtype=np.float32))
+        assert seen and all(len(plan.blocks) == 1 for plan in seen)
 
 
 class TestFactorize:
