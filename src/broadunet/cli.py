@@ -71,12 +71,6 @@ def _write_run_manifest(directory, command, args, outputs, wall_time,
     return path
 
 
-def _model_config(args) -> ModelConfig:
-    return ModelConfig(
-        lags=args.t, height=args.hw, width=args.hw, features=args.f,
-        base_filters=args.f0, factorized=args.factorized, head=args.head)
-
-
 def _load_model_and_samples(checkpoint, samples_path):
     """A checkpoint's model and a samples file whose windows it takes."""
     model = Model.load(checkpoint)
@@ -163,7 +157,6 @@ def cmd_train(args) -> int:
     train_cfg = training.TrainConfig(
         loss=args.loss, learning_rate=args.lr, batch_size=args.batch,
         max_epochs=args.epochs, seed=args.seed, checkpoint_path=checkpoint)
-    os.makedirs(args.out_dir, exist_ok=True)
     samples = _load_or_synth_samples(args)
     train_set, val_set, test_set = datapipe.split_counts(
         samples, args.train_n, args.val_n, args.test_n)
@@ -173,6 +166,8 @@ def cmd_train(args) -> int:
                       base_filters=args.f0, factorized=args.factorized,
                       dropout_rate=args.dropout, head=head)
     model = ARCHS[args.arch](cfg).initialize(seed=args.seed)
+    # every usage error above is raised before anything is written
+    os.makedirs(args.out_dir, exist_ok=True)
     result = training.train(model, train_set, val_set, train_cfg)
     history_path = os.path.join(args.out_dir, "history.csv")
     training.save_history_csv(result.history, history_path)
@@ -190,16 +185,27 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _parse_horizons(text: str):
-    if "-" in text:
-        lo, hi = text.split("-")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(v) for v in text.split(",")]
+def _parse_horizons(args):
+    """The `--horizons` list: a range `lo-hi` or `a,b,...`, each at least 1,
+    filled into a `{h}` of the checkpoint or samples path."""
+    if "{h}" not in args.checkpoint and "{h}" not in args.samples:
+        raise ValueError("--horizons needs {h} in --checkpoint or --samples")
+    text = args.horizons
+    lo, _, hi = text.partition("-")
+    try:
+        horizons = (list(range(int(lo), int(hi) + 1)) if hi
+                    else [int(v) for v in text.split(",")])
+    except ValueError:
+        horizons = []
+    if not horizons or min(horizons) < 1:
+        raise ValueError(f"--horizons {text!r} must name at least one "
+                         f"horizon, each a whole number of at least 1")
+    return horizons
 
 
 def cmd_eval(args) -> int:
     t0 = time.monotonic()
-    horizons = _parse_horizons(args.horizons) if args.horizons else [None]
+    horizons = _parse_horizons(args) if args.horizons else [None]
     rows = []
     for h in horizons:
         ckpt = args.checkpoint.replace("{h}", str(h)) if h else args.checkpoint
@@ -233,7 +239,9 @@ def cmd_predict(args) -> int:
 
 
 def cmd_params(args) -> int:
-    model = ARCHS[args.arch](_model_config(args))
+    model = ARCHS[args.arch](ModelConfig(
+        lags=args.t, height=args.hw, width=args.hw, features=args.f,
+        base_filters=args.f0, factorized=args.factorized))
     total, table = model.count_params()
     for name, count in table:
         print(f"{name}\t{count}")
@@ -315,8 +323,6 @@ def _add_model_flags(p):
     p.add_argument("--hw", type=int, default=288, help="height = width")
     p.add_argument("--f", type=int, default=1, help="feature channels")
     p.add_argument("--f0", type=int, default=64, help="base filter count")
-    p.add_argument("--head", default="regression",
-                   choices=["regression", "binary"])
     p.add_argument("--factorized", action=argparse.BooleanOptionalAction,
                    default=True)
 

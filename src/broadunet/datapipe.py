@@ -18,7 +18,6 @@ PRECIP_RAW_SHAPE = (765, 700)
 PRECIP_CROP = 288
 CLOUD_SIZE = 256
 CLOUD_BBOX = (51.896, 41.104, -5.842, 9.842)  # upper lat, lower lat, left lon, right lon
-CLOUD_LABELS = range(1, 16)
 
 
 class DataError(ValueError):
@@ -160,37 +159,9 @@ def make_samples(seq: FrameSequence, lags: int, horizon: int) -> SampleSet:
     return SampleSet(inputs, targets, lags, horizon, np.arange(count))
 
 
-@dataclass(frozen=True)
-class SplitScheme:
-    """Chronological split: frames at/after `test_start` are test material;
-    earlier samples split `train_fraction` / rest by sample position."""
-
-    test_start: int
-    train_fraction: float = 0.8
-
-
-def split_dataset(samples: SampleSet, scheme: SplitScheme):
-    """(train, val, test) with no window straddling the test boundary.
-
-    A sample's window spans frames [start, start + lags - 1 + horizon];
-    windows crossing `test_start` are dropped.
-    """
-    last = samples.starts + samples.lags - 1 + samples.horizon
-    test_mask = samples.starts >= scheme.test_start
-    pre_mask = last < scheme.test_start
-    pre_idx = np.flatnonzero(pre_mask)
-    n_train = int(len(pre_idx) * scheme.train_fraction)
-    train = samples.subset(pre_idx[:n_train])
-    val = samples.subset(pre_idx[n_train:])
-    test = samples.subset(np.flatnonzero(test_mask))
-    if len(train) == 0 or len(val) == 0 or len(test) == 0:
-        raise ValueError(
-            f"empty partition: train={len(train)} val={len(val)} test={len(test)}")
-    return train, val, test
-
-
 def split_counts(samples: SampleSet, n_train: int, n_val: int, n_test: int):
-    """Simple chronological split by sample counts (desk-scale synthetic use)."""
+    """Chronological split by sample counts: the first `n_train` windows,
+    then `n_val`, then `n_test`."""
     if n_train + n_val + n_test > len(samples):
         raise ValueError(
             f"requested {n_train + n_val + n_test} samples, have {len(samples)}")
@@ -317,7 +288,12 @@ def load_samples(path) -> SampleSet:
             f"samples archive {path} needs (N, T, H, W, F) inputs and "
             f"(N, 1, H, W, F) targets; it holds inputs of shape "
             f"{inputs.shape} and targets of shape {targets.shape}")
-    lags, horizon = records["lags_horizon"]
+    lags, horizon = map(float, records["lags_horizon"])
+    if lags != inputs.shape[1] or not (horizon >= 1 and horizon.is_integer()):
+        raise DataError(
+            f"samples archive {path} needs lags_horizon to hold the inputs' "
+            f"T={inputs.shape[1]} and a whole horizon of at least 1; it "
+            f"holds {lags!r} and {horizon!r}")
     return SampleSet(inputs, targets, int(lags), int(horizon),
                      records["starts"].astype(np.int64))
 

@@ -12,7 +12,7 @@ Downsampling is done exclusively by spatial max pooling.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,12 +56,6 @@ class ConvSpec:
     def effective_extent(self) -> tuple:
         """Per-axis reach of the dilated kernel: (k-1)*d + 1."""
         return tuple((k - 1) * d + 1 for k, d in zip(self.kernel, self.dilation))
-
-    @property
-    def param_count(self) -> int:
-        kt, kh, kw = self.kernel
-        n = kt * kh * kw * self.in_channels * self.out_channels
-        return n + (self.out_channels if self.bias else 0)
 
     def weight_shape(self) -> tuple:
         return (*self.kernel, self.in_channels, self.out_channels)

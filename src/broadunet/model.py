@@ -203,9 +203,6 @@ class Model:
         self.dtype = np.dtype(dtype)
         return self
 
-    def named_param_shapes(self) -> dict:
-        return self.root.named(lambda layer: layer.param_shapes())
-
     def named_params(self) -> dict:
         return self.root.named(lambda layer: layer.params)
 
@@ -260,8 +257,8 @@ class Model:
     # -- accounting -------------------------------------------------------------
     def count_params(self):
         """(total, per-layer table); works before initialization."""
-        table = [(name, int(np.prod(shape)))
-                 for name, shape in self.named_param_shapes().items()]
+        shapes = self.root.named(lambda layer: layer.param_shapes())
+        table = [(name, int(np.prod(shape))) for name, shape in shapes.items()]
         return sum(n for _, n in table), table
 
     # -- checkpointing -----------------------------------------------------------

@@ -5,11 +5,12 @@ evaluation metrics and the finite-difference gradient-check harness.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 BCE_EPS = 1e-7
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -49,9 +50,6 @@ class AdamState:
     m: dict
     v: dict
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def for_params(cls, params: dict) -> "AdamState":
@@ -62,7 +60,7 @@ class AdamState:
 def adam_step(params: dict, grads: dict, state: AdamState, lr: float) -> None:
     """One Adam update, in place. Parameters without a gradient see g = 0."""
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
     for name, p in params.items():
@@ -77,7 +75,7 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float) -> None:
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * g * g
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        p -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -123,11 +121,11 @@ def train(model, train_set, val_set, cfg: TrainConfig) -> TrainResult:
     if len(train_set.inputs) == 0 or len(val_set.inputs) == 0:
         raise ValueError("train and validation sets must be nonempty")
     in_shape, out_shape = model.input_shape(), model.out_shape()
-    for sample_set in (train_set, val_set):
-        for x, t in zip(sample_set.inputs, sample_set.targets):
-            if x.shape != in_shape or t.shape != out_shape:
-                raise ValueError(
-                    f"sample shapes {x.shape}/{t.shape} do not match model")
+    for part in (train_set, val_set):
+        x_shape, t_shape = part.inputs.shape[1:], part.targets.shape[1:]
+        if x_shape != in_shape or t_shape != out_shape:
+            raise ValueError(
+                f"sample shapes {x_shape}/{t_shape} do not match model")
     loss_fn = LOSSES[cfg.loss]
     if not model.initialized:
         model.initialize(seed=cfg.seed)
@@ -192,7 +190,6 @@ class MetricsReport:
     accuracy: float
     precision: float
     recall: float
-    n_pixels: int
 
 
 def _ratio(num: int, den: int, other_den: int) -> float:
@@ -237,7 +234,6 @@ def evaluate(predictor, test_set, threshold: float,
         accuracy=(tp + tn) / n_pixels,
         precision=_ratio(tp, tp + fp, tp + fn),
         recall=_ratio(tp, tp + fn, tp + fp),
-        n_pixels=n_pixels,
     )
 
 
@@ -250,7 +246,6 @@ class GradCheckReport:
     passed: bool
     max_rel_error: float
     worst: str
-    per_param: dict = field(default_factory=dict)
 
 
 def grad_check(target, in_shape=None, tol=1e-4, step=1e-6, seed=0,
@@ -313,7 +308,7 @@ def grad_check(target, in_shape=None, tol=1e-4, step=1e-6, seed=0,
             coords.append((name, params[name], analytic,
                            int(pos - (bounds[pi] - sizes[pi]))))
 
-    worst_err, worst_name, per_param = 0.0, "none", {}
+    worst_err, worst_name = 0.0, "none"
     for key, arr, analytic, idx in coords:
         flat = arr.reshape(-1)
         orig = flat[idx]
@@ -325,10 +320,9 @@ def grad_check(target, in_shape=None, tol=1e-4, step=1e-6, seed=0,
         fd = (splus - sminus) / (2.0 * step)
         a = analytic.reshape(-1)[idx]
         rel = abs(a - fd) / max(abs(a), abs(fd), floor)
-        per_param[key] = max(per_param.get(key, 0.0), rel)
         if rel > worst_err:
             label = key if key == "input" else f"param:{key}"
             worst_err, worst_name = rel, f"{label}[{idx}]"
 
     return GradCheckReport(passed=worst_err < tol, max_rel_error=worst_err,
-                           worst=worst_name, per_param=per_param)
+                           worst=worst_name)

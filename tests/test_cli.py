@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -75,6 +76,18 @@ class TestExitCodes:
                     "--val-n", "4", "--test-n", "4", flag, value,
                     "--out-dir", str(out_dir)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {field} must be")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--dropout", "1.5"), ("--f0", "0"), ("--hw", "20"), ("--train-n", "0"),
+    ])
+    def test_bad_model_or_split_writes_nothing(self, tmp_path, capsys, flag,
+                                               value):
+        out_dir = tmp_path / "r"
+        assert run(["train", "--task", "synth", "--hw", "16", "--train-n", "8",
+                    "--val-n", "4", "--test-n", "4", "--epochs", "1", flag,
+                    value, "--out-dir", str(out_dir)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
         assert not out_dir.exists()
 
     def test_failed_grad_check_is_numeric_error(self, capsys):
@@ -197,6 +210,48 @@ class TestEval:
         assert all(np.isfinite(values))
         for v in values[3:]:
             assert 0.0 <= v <= 1.0
+
+    @pytest.mark.parametrize("horizons", ["1-2", "1,2"])
+    def test_horizons_fill_templated_paths(self, workspace, tmp_path,
+                                           horizons):
+        for h in (1, 2):
+            shutil.copyfile(workspace["checkpoint"], tmp_path / f"ckpt{h}.btar")
+            assert run(["make-samples", "--frames", workspace["frames"],
+                        "--lags", "2", "--horizon", str(h),
+                        "--out", str(tmp_path / f"samples{h}.btar")]) == 0
+        single = []
+        for h in (1, 2):
+            out = tmp_path / f"single{h}.csv"
+            assert run(["eval", "--checkpoint", str(tmp_path / f"ckpt{h}.btar"),
+                        "--samples", str(tmp_path / f"samples{h}.btar"),
+                        "--cadence-minutes", "5", "--out", str(out)]) == 0
+            single.append(out.read_text().splitlines()[1])
+        out = tmp_path / "metrics.csv"
+        assert run(["eval", "--checkpoint", str(tmp_path / "ckpt{h}.btar"),
+                    "--samples", str(tmp_path / "samples{h}.btar"),
+                    "--horizons", horizons, "--cadence-minutes", "5",
+                    "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines == [EVAL_COLUMNS, *single]
+        assert [float(line.split(",")[0]) for line in lines[1:]] == [5.0, 10.0]
+        assert lines[1].split(",")[1] != lines[2].split(",")[1]
+
+    @pytest.mark.parametrize("horizons,template", [
+        ("1-3", False), ("3-1", True), ("0,1", True), ("-1", True),
+    ], ids=["no_template", "empty_range", "zero_horizon", "malformed"])
+    def test_bad_horizons_are_usage_errors(self, workspace, tmp_path, capsys,
+                                           horizons, template):
+        checkpoint = workspace["checkpoint"]
+        if template:
+            shutil.copyfile(checkpoint, tmp_path / "ckpt1.btar")
+            checkpoint = str(tmp_path / "ckpt{h}.btar")
+        out = tmp_path / "m.csv"
+        capsys.readouterr()
+        assert run(["eval", "--checkpoint", checkpoint,
+                    "--samples", workspace["samples"], "--horizons", horizons,
+                    "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: --horizons")
+        assert not out.exists()
 
     def test_missing_checkpoint(self, workspace, tmp_path):
         assert run(["eval", "--checkpoint", str(tmp_path / "none.btar"),
@@ -364,8 +419,15 @@ class TestWrongInputs:
         *(lambda records, window=window: records.update(targets=np.zeros(
             (len(records["inputs"]), *window), dtype=np.float32))
           for window in [(1, 1, 1, 1), (2, 16, 16, 1), (1, 8, 8, 1)]),
+        *(lambda records, values=values: records.update(
+            lags_horizon=np.array(values))
+          for values in [(2.0, np.inf), (2.0, np.nan), (2.0, -3.0), (2.0, 1.5),
+                         (2.0, 0.0), (1.0, 1.0), (3.0, 1.0)]),
     ], ids=["five_of_thirteen_targets", "three_lags_horizon_values",
-            "one_pixel_targets", "two_frame_targets", "half_size_targets"])
+            "one_pixel_targets", "two_frame_targets", "half_size_targets",
+            "infinite_horizon", "nan_horizon", "negative_horizon",
+            "fractional_horizon", "zero_horizon", "lags_below_t",
+            "lags_above_t"])
     def test_inconsistent_samples_archive(self, workspace, tmp_path, capsys,
                                           edit):
         records = archive_load(workspace["samples"])

@@ -10,7 +10,6 @@ from broadunet.archive import FormatError, archive_load, archive_save
 from broadunet.datapipe import (
     DataError,
     FrameSequence,
-    SplitScheme,
     SynthConfig,
     cloud_preprocess,
     load_frames,
@@ -21,7 +20,6 @@ from broadunet.datapipe import (
     save_frames,
     save_samples,
     split_counts,
-    split_dataset,
     synth_advection,
     write_manifest,
 )
@@ -211,7 +209,13 @@ class TestSamplesArchive:
         n_targets, n_starts = (
             data.draw(st.one_of(st.just(n_inputs), st.integers(0, 3)))
             for _ in range(2))
-        n_lh = data.draw(st.one_of(st.just(2), st.integers(0, 4)))
+        # lags must equal the inputs' T=2 and the horizon be a whole number
+        # of at least 1; near misses such as lags 1 or a horizon 1.5 come up
+        lags_horizon = data.draw(st.one_of(
+            st.tuples(st.just(2.0), st.integers(1, 6).map(float)),
+            st.lists(st.one_of(st.sampled_from(
+                [0.0, 1.0, 2.0, 1.5, -3.0, np.inf, np.nan]), st.floats()),
+                max_size=4)))
         target_window = data.draw(st.one_of(
             st.just((1, 4, 4, 1)),
             st.lists(st.integers(1, 4), max_size=5).map(tuple)))
@@ -220,9 +224,12 @@ class TestSamplesArchive:
             "inputs": np.zeros((n_inputs, 2, 4, 4, 1), dtype=np.float32),
             "targets": np.zeros((n_targets, *target_window), dtype=np.float32),
             "starts": np.arange(n_starts, dtype=np.float64),
-            "lags_horizon": np.arange(1.0, n_lh + 1.0),
+            "lags_horizon": np.array(lags_horizon, dtype=np.float64),
         })
-        consistent = (n_inputs == n_targets == n_starts and n_lh == 2
+        lags_ok = (len(lags_horizon) == 2 and lags_horizon[0] == 2
+                   and np.isfinite(lags_horizon[1]) and lags_horizon[1] >= 1
+                   and lags_horizon[1] % 1 == 0)
+        consistent = (n_inputs == n_targets == n_starts and lags_ok
                       and target_window == (1, 4, 4, 1))
         try:
             samples = load_samples(path)
@@ -231,7 +238,7 @@ class TestSamplesArchive:
         else:
             assert consistent
             assert len(samples.targets) == len(samples.starts) == len(samples)
-            assert (samples.lags, samples.horizon) == (1, 2)
+            assert (samples.lags, samples.horizon) == (2, lags_horizon[1])
 
 
 class TestFramesArchive:
@@ -436,39 +443,16 @@ class TestSplits:
         seq = FrameSequence(np.arange(float(n_frames)).reshape(-1, 1, 1, 1), 5)
         return make_samples(seq, lags, horizon)
 
-    def test_no_window_straddles_test_boundary(self):
-        samples = self._samples()
-        scheme = SplitScheme(test_start=30)
-        train, val, test = split_dataset(samples, scheme)
-        for part in (train, val):
-            assert (part.starts + samples.lags - 1 + samples.horizon < 30).all()
-        assert (test.starts >= 30).all()
-
-    def test_split_fraction(self):
-        samples = self._samples()
-        train, val, test = split_dataset(samples, SplitScheme(test_start=30))
-        pre = [s for s in samples.starts if s + 3 - 1 + 2 < 30]
-        assert len(train) == int(len(pre) * 0.8)
-        assert len(train) + len(val) == len(pre)
-
     def test_chronological_order_kept(self):
-        samples = self._samples()
-        train, val, _ = split_dataset(samples, SplitScheme(test_start=30))
+        train, val, test = split_counts(self._samples(), 20, 5, 4)
         assert train.starts.max() < val.starts.min()
-
-    def test_straddling_windows_dropped(self):
-        samples = self._samples()
-        train, val, test = split_dataset(samples, SplitScheme(test_start=30))
-        kept = set(train.starts) | set(val.starts) | set(test.starts)
-        dropped = set(samples.starts) - kept
-        # exactly the windows whose span crosses frame 30
-        assert dropped == {s for s in samples.starts
-                           if s < 30 <= s + 3 - 1 + 2}
+        assert val.starts.max() < test.starts.min()
 
     def test_empty_partition_raises(self):
-        samples = self._samples(n_frames=10)
-        with pytest.raises(ValueError):
-            split_dataset(samples, SplitScheme(test_start=100))
+        samples = self._samples()
+        for counts in [(0, 5, 4), (20, 0, 4), (20, 5, 0)]:
+            with pytest.raises(ValueError):
+                split_counts(samples, *counts)
 
     def test_split_counts(self):
         samples = self._samples()

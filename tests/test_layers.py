@@ -30,8 +30,11 @@ class TestConvSpec:
         assert spec.effective_extent == (1, 37, 37)
 
     def test_param_count(self):
-        assert ConvSpec((3, 3, 3), 2, 4).param_count == 27 * 2 * 4 + 4
-        assert ConvSpec((1, 1, 1), 1, 1, bias=False).param_count == 1
+        def count(spec):
+            shapes = Conv3D(spec).param_shapes().values()
+            return sum(int(np.prod(shape)) for shape in shapes)
+        assert count(ConvSpec((3, 3, 3), 2, 4)) == 27 * 2 * 4 + 4
+        assert count(ConvSpec((1, 1, 1), 1, 1, bias=False)) == 1
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -313,8 +316,8 @@ class TestFactorize:
         c = 6
         full = ConvSpec((5, 5, 5), c, c, bias=False)
         factored = factor_specs(ConvSpec((5, 5, 5), c, c, bias=False))
-        assert full.param_count == 125 * c * c
-        assert sum(s.param_count for s in factored) == 15 * c * c
+        assert np.prod(full.weight_shape()) == 125 * c * c
+        assert sum(np.prod(s.weight_shape()) for s in factored) == 15 * c * c
 
     def test_pointwise_unchanged(self):
         spec = ConvSpec((1, 1, 1), 2, 3)
