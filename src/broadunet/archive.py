@@ -10,6 +10,7 @@ dtype codes: 1 = f32, 2 = f64, 3 = u8. Round trips are bit-exact.
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import struct
@@ -51,6 +52,21 @@ def archive_save(path, records: dict) -> None:
             f.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
             # the buffer itself, so a contiguous payload is written uncopied
             f.write(np.ascontiguousarray(arr, dtype=_DTYPE_CODES[code]).data)
+
+
+def json_record(value) -> np.ndarray:
+    """`value` as a u8 record of its UTF-8 JSON text, keys sorted."""
+    return np.frombuffer(json.dumps(value, sort_keys=True).encode("utf-8"),
+                         dtype=np.uint8)
+
+
+def read_json_record(arr, what):
+    """The value of a `json_record`; text that is not UTF-8 JSON is a
+    FormatError naming `what`."""
+    try:
+        return json.loads(arr.tobytes().decode("utf-8"))
+    except ValueError as exc:  # a bad byte or bad JSON
+        raise FormatError(f"{what} is not UTF-8 JSON: {exc}") from exc
 
 
 def archive_load(path) -> dict:

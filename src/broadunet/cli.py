@@ -1,9 +1,9 @@
 """Command-line surface: synthesize, preprocess, train, evaluate, inspect.
 
 Exit codes: 0 success, 1 usage error, 2 data/format error, 3 numeric failure
-(a failed gradient check or a diverging training run). Every run writes a
-JSON run manifest next to its outputs with the configuration, seed, wall
-time and artifact checksums.
+(a failed gradient check or a diverging training run). `run` writes a JSON
+run manifest next to the outputs of every subcommand that writes any, with
+the configuration, seed, wall time, peak RSS and artifact checksums.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import argparse
 import hashlib
 import json
 import os
+import resource
 import sys
 import time
 
@@ -49,20 +50,22 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _write_run_manifest(directory, command, args, outputs, wall_time,
-                        extra=None):
+def _write_run_manifest(args, outputs, extra, wall_time):
+    """`run-manifest.json` in `--out-dir`, or beside `--out`; `peak_rss_mb`
+    is the process peak when it is written."""
     manifest = {
-        "command": command,
+        "command": args.command,
         "config": {k: v for k, v in vars(args).items() if k != "func"},
         "seed": getattr(args, "seed", None),
         "outputs": [str(p) for p in outputs],
         "wall_time_s": wall_time,
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "artifact_checksums": {str(p): _sha256(p) for p in outputs
                                if os.path.isfile(p)},
+        **extra,
     }
-    if extra:
-        manifest.update(extra)
-    path = os.path.join(directory, "run-manifest.json")
+    directory = getattr(args, "out_dir", None) or os.path.dirname(args.out)
+    path = os.path.join(directory or ".", "run-manifest.json")
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
@@ -94,22 +97,22 @@ def _window(samples, index):
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_synth_gen(args) -> int:
-    t0 = time.monotonic()
-    vy, vx = (float(v) for v in args.velocity.split(","))
+def cmd_synth_gen(args):
+    try:
+        vy, vx = (float(v) for v in args.velocity.split(","))
+    except ValueError:
+        raise ValueError(f"--velocity {args.velocity!r} must be two numbers "
+                         f"dy,dx") from None
     seq = datapipe.synth_advection(SynthConfig(
         height=args.h, width=args.w, n_frames=args.frames,
         n_blobs=args.blobs, velocity=(vy, vx), blob_sigma=args.sigma,
         seed=args.seed))
     datapipe.save_frames(args.out, seq)
-    _write_run_manifest(os.path.dirname(args.out) or ".", "synth-gen", args,
-                        [args.out], time.monotonic() - t0)
     print(f"wrote {len(seq)} frames of {args.h}x{args.w} to {args.out}")
-    return 0
+    return [args.out], {}
 
 
-def cmd_preprocess(args) -> int:
-    t0 = time.monotonic()
+def cmd_preprocess(args):
     seq = datapipe.load_frames(args.frames)
     if args.task == "precip":
         out = datapipe.precip_preprocess(seq, args.rain_fraction,
@@ -120,23 +123,17 @@ def cmd_preprocess(args) -> int:
             raise DataError("cloud preprocessing needs 'lats'/'lons' records")
         out = datapipe.cloud_preprocess(seq, records["lats"], records["lons"])
     datapipe.save_frames(args.out, out)
-    _write_run_manifest(os.path.dirname(args.out) or ".", "preprocess", args,
-                        [args.out], time.monotonic() - t0,
-                        extra={"metadata": out.metadata})
     print(f"kept {len(out)} frames -> {args.out}")
-    return 0
+    return [args.out], {"metadata": out.metadata}
 
 
-def cmd_make_samples(args) -> int:
-    t0 = time.monotonic()
+def cmd_make_samples(args):
     seq = datapipe.load_frames(args.frames)
     samples = datapipe.make_samples(seq, args.lags, args.horizon)
     datapipe.save_samples(args.out, samples)
-    _write_run_manifest(os.path.dirname(args.out) or ".", "make-samples",
-                        args, [args.out], time.monotonic() - t0)
     print(f"{len(samples)} samples (lags={args.lags}, horizon={args.horizon}) "
           f"-> {args.out}")
-    return 0
+    return [args.out], {}
 
 
 def _load_or_synth_samples(args):
@@ -151,8 +148,7 @@ def _load_or_synth_samples(args):
     return datapipe.make_samples(seq, args.lags, args.horizon)
 
 
-def cmd_train(args) -> int:
-    t0 = time.monotonic()
+def cmd_train(args):
     checkpoint = os.path.join(args.out_dir, "checkpoint.btar")
     train_cfg = training.TrainConfig(
         loss=args.loss, learning_rate=args.lr, batch_size=args.batch,
@@ -161,6 +157,8 @@ def cmd_train(args) -> int:
     train_set, val_set, test_set = datapipe.split_counts(
         samples, args.train_n, args.val_n, args.test_n)
     _, lags, h, w, f = train_set.inputs.shape
+    # the manifest records the values the samples set, not ignored flags
+    args.lags, args.horizon, args.hw = lags, samples.horizon, h if h == w else None
     head = "binary" if args.loss == "bce" else "regression"
     cfg = ModelConfig(lags=lags, height=h, width=w, features=f,
                       base_filters=args.f0, factorized=args.factorized,
@@ -174,15 +172,11 @@ def cmd_train(args) -> int:
     best = Model.load(checkpoint)
     report = training.evaluate(best, test_set, args.threshold)
     baseline = training.evaluate(persistence_predict, test_set, args.threshold)
-    _write_run_manifest(args.out_dir, "train", args,
-                        [checkpoint, history_path], time.monotonic() - t0,
-                        extra={"best_epoch": result.best_epoch,
-                               "best_val_loss": result.best_val_loss,
-                               "test_mse": report.mse,
-                               "persistence_test_mse": baseline.mse})
     print(f"best epoch {result.best_epoch}: val loss {result.best_val_loss:.6g}")
     print(f"test mse {report.mse:.6g} (persistence {baseline.mse:.6g})")
-    return 0
+    return [checkpoint, history_path], {
+        "best_epoch": result.best_epoch, "best_val_loss": result.best_val_loss,
+        "test_mse": report.mse, "persistence_test_mse": baseline.mse}
 
 
 def _parse_horizons(args):
@@ -203,8 +197,7 @@ def _parse_horizons(args):
     return horizons
 
 
-def cmd_eval(args) -> int:
-    t0 = time.monotonic()
+def cmd_eval(args):
     horizons = _parse_horizons(args) if args.horizons else [None]
     rows = []
     for h in horizons:
@@ -220,25 +213,19 @@ def cmd_eval(args) -> int:
         for minutes, r in rows:
             f.write(f"{minutes!r},{r.mse!r},{r.mse_binarized!r},"
                     f"{r.accuracy!r},{r.precision!r},{r.recall!r}\n")
-    _write_run_manifest(os.path.dirname(args.out) or ".", "eval", args,
-                        [args.out], time.monotonic() - t0)
     print(f"wrote {len(rows)} row(s) to {args.out}")
-    return 0
+    return [args.out], {}
 
 
-def cmd_predict(args) -> int:
-    t0 = time.monotonic()
+def cmd_predict(args):
     model, samples = _load_model_and_samples(args.checkpoint, args.samples)
     y = model.predict(_window(samples, args.index))
     lo, hi = pgm.write_pgm(args.out, y[0, :, :, 0])
-    _write_run_manifest(os.path.dirname(args.out) or ".", "predict", args,
-                        [args.out], time.monotonic() - t0,
-                        extra={"pgm_scale": {"lo": lo, "hi": hi}})
     print(f"prediction image -> {args.out} (scale {lo:.6g}..{hi:.6g})")
-    return 0
+    return [args.out], {"pgm_scale": {"lo": lo, "hi": hi}}
 
 
-def cmd_params(args) -> int:
+def cmd_params(args):
     model = ARCHS[args.arch](ModelConfig(
         lags=args.t, height=args.hw, width=args.hw, features=args.f,
         base_filters=args.f0, factorized=args.factorized))
@@ -249,7 +236,7 @@ def cmd_params(args) -> int:
     print(f"input\t{model.input_shape()}")
     print(f"output\t{out_shape}")
     print(f"total\t{total}")
-    return 0
+    return [], {}
 
 
 def _primitive_layer_checks():
@@ -270,7 +257,7 @@ def _primitive_layer_checks():
     ]
 
 
-def cmd_grad_check(args) -> int:
+def cmd_grad_check(args):
     failed = False
     if args.arch == "layers":
         checks = _primitive_layer_checks()
@@ -289,28 +276,25 @@ def cmd_grad_check(args) -> int:
         print(f"{status} {args.arch}: max rel err {report.max_rel_error:.3e} "
               f"(worst {report.worst})")
         failed = not report.passed
-    return 3 if failed else 0
+    if failed:
+        raise FloatingPointError("gradient check failed")
+    return [], {}
 
 
-def cmd_dump_features(args) -> int:
-    t0 = time.monotonic()
+def cmd_dump_features(args):
     model, samples = _load_model_and_samples(args.checkpoint, args.samples)
     maps = dump_feature_maps(model, _window(samples, args.index), args.block)
     os.makedirs(args.out_dir, exist_ok=True)
-    outputs = []
-    archive_path = os.path.join(args.out_dir, f"block{args.block}_features.btar")
-    datapipe.archive_save(archive_path, {label: arr for label, arr in maps})
-    outputs.append(archive_path)
+    outputs = [os.path.join(args.out_dir, f"block{args.block}_features.btar")]
+    datapipe.archive_save(outputs[0], dict(maps))
     scales = {}
     for label, arr in maps:
         path = os.path.join(args.out_dir, f"block{args.block}_{label}.pgm")
         lo, hi = pgm.write_pgm(path, arr[0, :, :, 0])
         scales[label] = {"lo": lo, "hi": hi}
         outputs.append(path)
-    _write_run_manifest(args.out_dir, "dump-features", args, outputs,
-                        time.monotonic() - t0, extra={"pgm_scales": scales})
     print(f"wrote {len(maps)} branch maps to {args.out_dir}")
-    return 0
+    return outputs, {"pgm_scales": scales}
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +417,11 @@ def run(argv) -> int:
         # argparse exits 0 for --help, 2 for usage errors
         return 0 if exc.code == 0 else 1
     try:
-        return args.func(args)
+        t0 = time.monotonic()
+        outputs, extra = args.func(args)
+        if outputs:
+            _write_run_manifest(args, outputs, extra, time.monotonic() - t0)
+        return 0
     except (FormatError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

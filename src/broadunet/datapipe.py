@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .archive import archive_load, archive_save
+from .archive import archive_load, archive_save, json_record, read_json_record
 from .tensor import ShapeError
 
 PRECIP_RAW_SHAPE = (765, 700)
@@ -191,6 +191,11 @@ class SynthConfig:
             raise ValueError("H and W must be at least 8")
         if self.n_frames < 1 or self.n_blobs < 1:
             raise ValueError("need at least one frame and one blob")
+        if not 0 < self.blob_sigma < np.inf:
+            raise ValueError(f"blob sigma must be finite and positive, "
+                             f"got {self.blob_sigma}")
+        if not np.isfinite(self.velocity).all():
+            raise ValueError(f"velocity must be finite, got {self.velocity}")
 
 
 def synth_advection(cfg: SynthConfig) -> FrameSequence:
@@ -228,11 +233,7 @@ def save_frames(path, seq: FrameSequence) -> None:
     archive_save(path, {
         "frames": seq.frames,
         "cadence_minutes": np.asarray([seq.cadence_minutes], dtype=np.float64),
-    })
-    write_manifest(str(path) + ".manifest", {
-        "cadence_minutes": seq.cadence_minutes,
-        **{k: v for k, v in seq.metadata.items()
-           if k in ("norm_factor", "threshold_mean", "rain_fraction", "source")},
+        "metadata": json_record(seq.metadata),
     })
 
 
@@ -255,11 +256,11 @@ def load_frames(path) -> FrameSequence:
             f"positive cadence_minutes value; it holds frames of shape "
             f"{frames.shape} and {cadence.size} cadence_minutes value(s), "
             f"starting {cadence.ravel()[:3].tolist()}")
-    meta = {}
-    try:
-        meta = read_manifest(str(path) + ".manifest")
-    except OSError:
-        pass
+    meta = (read_json_record(records["metadata"], f"the metadata of {path}")
+            if "metadata" in records else {})
+    if not isinstance(meta, dict):
+        raise DataError(f"frames archive {path} needs its metadata to be a "
+                        f"JSON object; it holds {meta!r:.60}")
     return FrameSequence(frames, float(cadence.item()), metadata=meta)
 
 
@@ -296,25 +297,3 @@ def load_samples(path) -> SampleSet:
             f"holds {lags!r} and {horizon!r}")
     return SampleSet(inputs, targets, int(lags), int(horizon),
                      records["starts"].astype(np.int64))
-
-
-def write_manifest(path, entries: dict) -> None:
-    """Dataset manifest: UTF-8 `key = value` lines."""
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for key, value in entries.items():
-            f.write(f"{key} = {value}\n")
-
-
-def read_manifest(path) -> dict:
-    entries = {}
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            key, _, value = line.partition(" = ")
-            try:
-                entries[key] = float(value)
-            except ValueError:
-                entries[key] = value
-    return entries

@@ -9,13 +9,13 @@ runs on 2D data. Input (T, H, W, F) maps to output (1, H, W, F).
 from __future__ import annotations
 
 import functools
-import json
 import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .archive import FormatError, archive_load, archive_save
+from .archive import (FormatError, archive_load, archive_save, json_record,
+                      read_json_record)
 from .blocks import ASPP_RATES, BRANCH_SIZES, Aspp, MultiScaleBlock
 from .layers import (
     Activation,
@@ -272,9 +272,7 @@ class Model:
             "elem_type": {"float32": "f32", "float64": "f64"}[self.dtype.name],
             "param_names": list(params.keys()),
         }
-        records = {"__manifest__": np.frombuffer(
-            json.dumps(manifest, sort_keys=True).encode("utf-8"), dtype=np.uint8)}
-        records.update(params)
+        records = {"__manifest__": json_record(manifest), **params}
         # write beside the target and swap in, so a kill mid-write leaves
         # the previous checkpoint intact
         tmp = os.fspath(path) + ".tmp"
@@ -287,8 +285,8 @@ class Model:
         from its records; nothing is initialized randomly."""
         records = archive_load(path)
         try:
-            manifest = json.loads(
-                bytes(records.pop("__manifest__")).decode("utf-8"))
+            manifest = read_json_record(records.pop("__manifest__"),
+                                        "the '__manifest__' record")
             cfg = ModelConfig.from_dict(manifest["config"])
             model = ARCHS[manifest["arch"]](cfg)
             dtype = {"f32": np.float32, "f64": np.float64}[manifest["elem_type"]]

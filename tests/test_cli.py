@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -7,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from broadunet.archive import archive_load, archive_save
+from broadunet.archive import archive_load, archive_save, json_record
 from broadunet.cli import EVAL_COLUMNS, run
 from broadunet.datapipe import load_frames, load_samples
 from broadunet.model import Model
@@ -90,6 +91,24 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("flag,value,named", [
+        ("--sigma", "0", "sigma"), ("--sigma", "inf", "sigma"),
+        ("--sigma", "-2", "sigma"), ("--sigma", "nan", "sigma"),
+        ("--velocity", "nan,0", "velocity"), ("--velocity", "inf,0", "velocity"),
+        *(("--velocity", value, f"--velocity '{value}' must be two numbers dy,dx")
+          for value in ("1", "1,2,3", "a,b")),
+    ], ids=["sigma_0", "sigma_inf", "sigma_negative", "sigma_nan",
+            "velocity_nan", "velocity_inf", "velocity_one_value",
+            "velocity_three_values", "velocity_not_numbers"])
+    def test_bad_synth_values_are_usage_errors(self, tmp_path, capsys, flag,
+                                               value, named):
+        out = tmp_path / "f.btar"
+        assert run(["synth-gen", "--out", str(out), "--frames", "2", flag,
+                    value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+        assert os.listdir(tmp_path) == []
+
     def test_failed_grad_check_is_numeric_error(self, capsys):
         assert run(["grad-check", "--arch", "layers", "--tol", "1e-18"]) == 3
         assert "FAIL" in capsys.readouterr().out
@@ -115,11 +134,52 @@ class TestSynthAndSamples:
         assert samples.inputs.shape == (13, 2, 16, 16, 1)
         assert samples.targets.shape == (13, 1, 16, 16, 1)
 
-    def test_run_manifest_written(self, workspace):
-        manifest = json.loads(
-            (workspace["root"] / "run-manifest.json").read_text())
-        assert manifest["command"] in ("synth-gen", "make-samples")
-        assert manifest["artifact_checksums"]
+    def test_run_manifest_written(self, workspace, tmp_path, monkeypatch):
+        """Each subcommand that writes an artifact writes a manifest beside
+        it, in its own directory, listing and checksumming every output."""
+        d = {name: tmp_path / name for name in (
+            "synth-gen", "preprocess", "make-samples", "eval", "predict")}
+        for path in d.values():
+            path.mkdir()
+        given = ["--checkpoint", workspace["checkpoint"],
+                 "--samples", workspace["samples"]]
+        commands = [
+            ["synth-gen", "--out", f"{d['synth-gen']}/raw.btar", "--h", "765",
+             "--w", "700", "--frames", "2", "--sigma", "40"],
+            ["preprocess", "--task", "precip", "--frames",
+             f"{d['synth-gen']}/raw.btar", "--out",
+             f"{d['preprocess']}/clean.btar", "--rain-fraction", "0.1"],
+            ["make-samples", "--frames", workspace["frames"], "--lags", "2",
+             "--out", f"{d['make-samples']}/s.btar"],
+            ["train", "--hw", "16", "--f0", "1", "--epochs", "1",
+             "--train-n", "4", "--val-n", "2", "--test-n", "2",
+             "--out-dir", str(tmp_path / "train")],
+            ["eval", *given, "--out", f"{d['eval']}/m.csv"],
+            ["predict", *given, "--out", f"{d['predict']}/p.pgm"],
+            ["dump-features", *given, "--out-dir",
+             str(tmp_path / "dump-features")],
+        ]
+        for argv in commands:
+            assert run(argv) == 0, argv
+            folder = tmp_path / argv[0]
+            manifest = json.loads((folder / "run-manifest.json").read_text())
+            assert manifest["command"] == argv[0]
+            assert manifest["config"]["command"] == argv[0]
+            assert manifest["wall_time_s"] >= 0
+            assert manifest["peak_rss_mb"] > 0
+            outputs = manifest["outputs"]
+            if "--out" in argv:  # one data file, and no side file beside it
+                assert outputs == [argv[argv.index("--out") + 1]]
+            assert sorted(os.listdir(folder)) == sorted(
+                [os.path.basename(p) for p in outputs] + ["run-manifest.json"])
+            assert manifest["artifact_checksums"] == {
+                p: hashlib.sha256(open(p, "rb").read()).hexdigest()
+                for p in outputs}
+        # subcommands that write no artifact write no manifest either
+        monkeypatch.chdir(tmp_path / "eval")
+        assert run(["params", "--t", "2", "--hw", "16", "--f0", "1"]) == 0
+        assert run(["grad-check", "--arch", "layers"]) == 0
+        assert sorted(os.listdir()) == ["m.csv", "run-manifest.json"]
 
 
 class TestTrain:
@@ -135,6 +195,21 @@ class TestTrain:
         assert manifest["seed"] == 0
         assert "test_mse" in manifest
         assert "persistence_test_mse" in manifest
+
+    @pytest.mark.parametrize("w,hw", [(16, 16), (32, None)])
+    def test_manifest_records_the_samples_values(self, tmp_path, w, hw):
+        frames, samples = str(tmp_path / "f.btar"), str(tmp_path / "s.btar")
+        assert run(["synth-gen", "--out", frames, "--h", "16", "--w", str(w),
+                    "--frames", "15"]) == 0
+        assert run(["make-samples", "--frames", frames, "--lags", "4",
+                    "--out", samples]) == 0
+        run_dir = tmp_path / "run"
+        assert run(["train", "--samples", samples, "--lags", "7",
+                    "--horizon", "3", "--hw", "99", "--f0", "1",
+                    "--train-n", "6", "--val-n", "3", "--test-n", "2",
+                    "--epochs", "1", "--out-dir", str(run_dir)]) == 0
+        config = json.loads((run_dir / "run-manifest.json").read_text())["config"]
+        assert (config["lags"], config["horizon"], config["hw"]) == (4, 1, hw)
 
     def test_checkpoint_loads_and_predicts(self, workspace):
         model = Model.load(workspace["checkpoint"])
@@ -446,8 +521,14 @@ class TestWrongInputs:
         lambda records: records.update(cadence_minutes=np.array([np.nan])),
         lambda records: records.update(cadence_minutes=np.array([-5.0])),
         lambda records: records.update(frames=records["frames"][..., 0]),
+        lambda records: records.update(
+            metadata=np.frombuffer(b'{"source": "\xff"}', dtype=np.uint8)),
+        lambda records: records.update(
+            metadata=np.frombuffer(b'{"source": ', dtype=np.uint8)),
+        lambda records: records.update(metadata=json_record([1.0, "a"])),
     ], ids=["empty_cadence", "nan_cadence", "negative_cadence",
-            "rank3_frames"])
+            "rank3_frames", "metadata_not_utf8", "metadata_not_json",
+            "metadata_not_object"])
     def test_bad_frames_archive(self, workspace, tmp_path, capsys, edit):
         records = archive_load(workspace["frames"])
         edit(records)

@@ -1,3 +1,4 @@
+import os
 import struct
 import tracemalloc
 
@@ -16,12 +17,10 @@ from broadunet.datapipe import (
     load_samples,
     make_samples,
     precip_preprocess,
-    read_manifest,
     save_frames,
     save_samples,
     split_counts,
     synth_advection,
-    write_manifest,
 )
 from broadunet.pgm import read_pgm, write_pgm
 from broadunet.tensor import ShapeError
@@ -517,7 +516,19 @@ class TestPersistenceIO:
         loaded = load_frames(path)
         np.testing.assert_array_equal(loaded.frames, seq.frames)
         assert loaded.cadence_minutes == 5.0
-        assert loaded.metadata["norm_factor"] == 2.5
+        assert loaded.metadata == {"norm_factor": 2.5, "source": "synthetic"}
+        assert os.listdir(tmp_path) == ["frames.btar"]  # no side file
+        raw = np.ones((3, 765, 700, 1), dtype=np.float32)
+        clean = precip_preprocess(
+            FrameSequence(raw, 5.0, metadata={"source": "radar"}), 0.5)
+        save_frames(path, clean)
+        loaded = load_frames(path)
+        assert loaded.metadata == {**clean.metadata, "crop_offsets": [238, 206]}
+        assert loaded.metadata["source"] == "radar"
+        # an archive without the metadata record loads with none
+        archive_save(path, {"frames": seq.frames,
+                            "cadence_minutes": np.array([5.0])})
+        assert load_frames(path).metadata == {}
 
     def test_samples_round_trip(self, tmp_path):
         seq = synth_advection(SynthConfig(n_frames=8, seed=8))
@@ -529,9 +540,3 @@ class TestPersistenceIO:
         np.testing.assert_array_equal(loaded.targets, samples.targets)
         assert (loaded.lags, loaded.horizon) == (3, 2)
         np.testing.assert_array_equal(loaded.starts, samples.starts)
-
-    def test_manifest_round_trip(self, tmp_path):
-        path = tmp_path / "m.manifest"
-        write_manifest(path, {"norm_factor": 12.5, "source": "radar"})
-        entries = read_manifest(path)
-        assert entries == {"norm_factor": 12.5, "source": "radar"}
