@@ -25,8 +25,8 @@ ASPP_RATES = (6, 12, 18)
 class MultiScaleBlock(Layer):
     """Initial conv, parallel 1/3/5 branches, concat-merge, residual, ReLU.
 
-    The residual connection taps the block input; a pointwise projection is
-    inserted when in/out channel counts differ.
+    The residual adds the block input back through `project`: a pointwise
+    conv when in/out channel counts differ, else the identity `Sequential([])`.
 
     time_extent is the temporal extent of the data the block sees: the input
     lag count for encoder blocks, 1 for decoder blocks. Temporal kernel
@@ -49,46 +49,32 @@ class MultiScaleBlock(Layer):
         ])
         self.merge = Conv3D(ConvSpec((1, 1, 1), 3 * out_channels,
                                      out_channels))
-        if in_channels != out_channels:
-            self.project = Conv3D(ConvSpec((1, 1, 1), in_channels,
-                                           out_channels))
-        else:
-            self.project = None
+        self.project = (Conv3D(ConvSpec((1, 1, 1), in_channels, out_channels))
+                        if in_channels != out_channels else Sequential([]))
         self.relu = Activation("relu")
 
     def children(self):
-        named = [("initial", self.initial), *self.branches.children(),
-                 ("merge", self.merge)]
-        if self.project is not None:
-            named.append(("project", self.project))
-        named.append(("relu", self.relu))
-        return named
+        return [("initial", self.initial), *self.branches.children(),
+                ("merge", self.merge), ("project", self.project),
+                ("relu", self.relu)]
 
     def out_shape(self, shape):
         merged = self.merge.out_shape(
             self.branches.out_shape(self.initial.out_shape(shape)))
-        if self.project is not None:
-            self.project.out_shape(shape)
+        self.project.out_shape(shape)
         return merged
 
     def forward(self, x, train=False, rng=None):
         h = self.initial.forward(x, train=train, rng=rng)
         cat = self.branches.forward(h, train=train, rng=rng)
         merged = self.merge.forward(cat, train=train, rng=rng)
-        if self.project is not None:
-            residual = self.project.forward(x, train=train, rng=rng)
-        else:
-            residual = x
+        residual = self.project.forward(x, train=train, rng=rng)
         return self.relu.forward(merged + residual, train=train, rng=rng)
 
     def backward(self, grad):
         g = self.relu.backward(grad)
         gx = self.initial.backward(self.branches.backward(self.merge.backward(g)))
-        if self.project is not None:
-            gx = gx + self.project.backward(g)
-        else:
-            gx = gx + g
-        return gx
+        return gx + self.project.backward(g)
 
 
 class Aspp(Layer):

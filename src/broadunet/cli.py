@@ -113,12 +113,12 @@ def cmd_synth_gen(args):
 
 
 def cmd_preprocess(args):
-    seq = datapipe.load_frames(args.frames)
+    records = datapipe.archive_load(args.frames)
+    seq = datapipe.frames_from_records(records, args.frames)
     if args.task == "precip":
         out = datapipe.precip_preprocess(seq, args.rain_fraction,
                                          args.train_fraction)
     else:
-        records = datapipe.archive_load(args.frames)
         if "lats" not in records or "lons" not in records:
             raise DataError("cloud preprocessing needs 'lats'/'lons' records")
         out = datapipe.cloud_preprocess(seq, records["lats"], records["lons"])
@@ -170,8 +170,8 @@ def cmd_train(args):
     history_path = os.path.join(args.out_dir, "history.csv")
     training.save_history_csv(result.history, history_path)
     best = Model.load(checkpoint)
-    report = training.evaluate(best, test_set, args.threshold)
-    baseline = training.evaluate(persistence_predict, test_set, args.threshold)
+    report = training.evaluate(best, test_set)
+    baseline = training.evaluate(persistence_predict, test_set)
     print(f"best epoch {result.best_epoch}: val loss {result.best_val_loss:.6g}")
     print(f"test mse {report.mse:.6g} (persistence {baseline.mse:.6g})")
     return [checkpoint, history_path], {
@@ -198,6 +198,12 @@ def _parse_horizons(args):
 
 
 def cmd_eval(args):
+    for flag, value in (("--cadence-minutes", args.cadence_minutes),
+                        ("--denorm-factor", args.denorm_factor)):
+        if not 0 < value < np.inf:
+            raise ValueError(f"{flag} must be finite and positive, got {value}")
+    if not np.isfinite(args.threshold):
+        raise ValueError(f"--threshold must be finite, got {args.threshold}")
     horizons = _parse_horizons(args) if args.horizons else [None]
     rows = []
     for h in horizons:
@@ -258,24 +264,21 @@ def _primitive_layer_checks():
 
 
 def cmd_grad_check(args):
-    failed = False
     if args.arch == "layers":
         checks = _primitive_layer_checks()
-        for name, layer, shape in checks:
-            report = training.grad_check(layer, in_shape=shape, tol=args.tol)
-            status = "pass" if report.passed else "FAIL"
-            print(f"{status} {name}: max rel err {report.max_rel_error:.3e} "
-                  f"(worst {report.worst})")
-            failed |= not report.passed
     else:
         cfg = mini_config(head=args.head)
         model = ARCHS[args.arch.removesuffix("-mini")](cfg).initialize(
             seed=args.seed, dtype=np.float64)
-        report = training.grad_check(model, tol=args.tol, seed=args.seed)
+        checks = [(args.arch, model, None)]
+    failed = False
+    for name, target, shape in checks:
+        report = training.grad_check(target, in_shape=shape, tol=args.tol,
+                                     seed=args.seed)
         status = "pass" if report.passed else "FAIL"
-        print(f"{status} {args.arch}: max rel err {report.max_rel_error:.3e} "
+        print(f"{status} {name}: max rel err {report.max_rel_error:.3e} "
               f"(worst {report.worst})")
-        failed = not report.passed
+        failed |= not report.passed
     if failed:
         raise FloatingPointError("gradient check failed")
     return [], {}
@@ -360,7 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", type=int, default=8)
     p.add_argument("--loss", default="mse", choices=["mse", "bce"])
     p.add_argument("--dropout", type=float, default=0.5)
-    p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--factorized", action=argparse.BooleanOptionalAction,
                    default=True)
     p.add_argument("--out-dir", required=True)

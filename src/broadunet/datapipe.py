@@ -74,6 +74,10 @@ def precip_preprocess(seq: FrameSequence, rain_fraction: float,
     `rain_fraction`. All kept frames are divided by the maximum value over the
     first `train_fraction` of them; that maximum lands in the metadata.
     """
+    if not 0 < train_fraction <= 1:
+        raise ValueError(f"train fraction must be in (0, 1], got {train_fraction}")
+    if not 0 <= rain_fraction <= 1:
+        raise ValueError(f"rain fraction must be in [0, 1], got {rain_fraction}")
     frames = seq.frames
     if frames.shape[1:3] != PRECIP_RAW_SHAPE or frames.shape[3] != 1:
         raise ShapeError(
@@ -237,9 +241,8 @@ def save_frames(path, seq: FrameSequence) -> None:
     })
 
 
-def _load_records(path, kind, names) -> dict:
-    """The archive's records, which must include every one of `names`."""
-    records = archive_load(path)
+def _require_records(records, path, kind, names) -> dict:
+    """The records of archive `path`, which must include all of `names`."""
     missing = [name for name in names if name not in records]
     if missing:
         raise DataError(f"{path} is not a {kind} archive: it lacks the "
@@ -248,7 +251,12 @@ def _load_records(path, kind, names) -> dict:
 
 
 def load_frames(path) -> FrameSequence:
-    records = _load_records(path, "frames", ("frames", "cadence_minutes"))
+    return frames_from_records(archive_load(path), path)
+
+
+def frames_from_records(records, path) -> FrameSequence:
+    """The frames that the records of archive `path` hold."""
+    _require_records(records, path, "frames", ("frames", "cadence_minutes"))
     frames, cadence = records["frames"], records["cadence_minutes"]
     if frames.ndim != 4 or cadence.size != 1 or not 0 < cadence.item() < np.inf:
         raise DataError(
@@ -275,8 +283,8 @@ def save_samples(path, samples: SampleSet) -> None:
 
 
 def load_samples(path) -> SampleSet:
-    records = _load_records(
-        path, "samples", ("inputs", "targets", "starts", "lags_horizon"))
+    records = _require_records(archive_load(path), path, "samples",
+                               ("inputs", "targets", "starts", "lags_horizon"))
     counts = {n: records[n].shape[:1] for n in ("inputs", "targets", "starts")}
     if len(set(counts.values())) != 1 or records["lags_horizon"].shape != (2,):
         raise DataError(

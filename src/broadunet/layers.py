@@ -550,7 +550,7 @@ class UpsampleNearestSpatial(Layer):
 
 
 class Activation(Layer):
-    KINDS = ("relu", "sigmoid", "linear")
+    KINDS = ("relu", "sigmoid")
 
     def __init__(self, kind: str):
         super().__init__()
@@ -562,15 +562,11 @@ class Activation(Layer):
         if self.kind == "relu":
             self._tape = x > 0 if train else None
             return np.maximum(x, 0)
-        if self.kind == "sigmoid":
-            y = 1.0 / (1.0 + np.exp(-x))
-            self._tape = y if train else None
-            return y
-        return x
+        y = 1.0 / (1.0 + np.exp(-x))
+        self._tape = y if train else None
+        return y
 
     def backward(self, grad):
-        if self.kind == "linear":
-            return grad
         tape = self._take_tape()
         if self.kind == "relu":
             return grad * tape
@@ -582,12 +578,12 @@ class Dropout(Layer):
 
     def __init__(self, rate: float):
         super().__init__()
-        if not 0.0 <= rate < 1.0:
-            raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
+        if not 0.0 < rate < 1.0:
+            raise ValueError(f"dropout rate must be in (0, 1), got {rate}")
         self.rate = rate
 
     def forward(self, x, train=False, rng=None):
-        if not train or self.rate == 0.0:
+        if not train:
             self._tape = None
             return x
         if rng is None:
@@ -597,8 +593,6 @@ class Dropout(Layer):
         return x * self._tape
 
     def backward(self, grad):
-        if self.rate == 0.0:
-            return grad
         return grad * self._take_tape()
 
 

@@ -87,53 +87,44 @@ def mini_config(lags=2, height=16, width=16, features=1, base_filters=2,
 class _UNetBase(Layer):
     """Shared encoder/decoder scaffolding; subclasses supply the level blocks.
 
-    Level i runs enc[i], then its temporally reduced skip and the pooled
-    deeper levels side by side (concatenated skip first), then dec[i]. The
-    bottom level is enc[4], the named bottleneck layers and reduce_mid.
+    Level i runs enc<i>, then its temporally reduced skip and the pooled
+    deeper levels side by side (concatenated skip first), then dec<i>. The
+    bottom level is enc4, the named bottleneck layers and reduce_mid.
     """
 
     def __init__(self, cfg: ModelConfig, bottleneck=()):
         super().__init__()
         self.cfg = cfg
         plan = cfg.channel_plan
-        self.enc = [self._level_block(
-            cfg.features if i == 0 else plan[i - 1], plan[i], cfg.lags)
-            for i in range(LEVELS)]
-        self.bottleneck = list(bottleneck)
-        self.pools = [MaxPoolSpatial() for _ in range(LEVELS - 1)]
-        self.reduce_skip = [
-            Conv3D(ConvSpec((cfg.lags, 1, 1), plan[i], plan[i], padding="valid"))
-            for i in range(LEVELS - 1)
+        self.named_layers = [
+            *((f"enc{i}", self._level_block(
+                cfg.features if i == 0 else plan[i - 1], plan[i], cfg.lags))
+              for i in range(LEVELS)),
+            *bottleneck,
+            *((f"reduce_skip{i}" if i < LEVELS - 1 else "reduce_mid",
+               Conv3D(ConvSpec((cfg.lags, 1, 1), c, c, padding="valid")))
+              for i, c in enumerate(plan)),
+            *((f"dec{i}", self._level_block(plan[i] + plan[i + 1], plan[i], 1))
+              for i in range(LEVELS - 1)),
+            ("head", Conv3D(ConvSpec((1, 1, 1), plan[0], cfg.features))),
         ]
-        self.reduce_mid = Conv3D(
-            ConvSpec((cfg.lags, 1, 1), plan[-1], plan[-1], padding="valid"))
-        self.ups = [UpsampleNearestSpatial() for _ in range(LEVELS - 1)]
-        self.dec = [self._level_block(plan[i] + plan[i + 1], plan[i], 1)
-                    for i in range(LEVELS - 1)]
-        self.head = Conv3D(ConvSpec((1, 1, 1), plan[0], cfg.features))
-        self.head_act = Activation(
-            "sigmoid" if cfg.head == "binary" else "linear")
-        level = Sequential([self.enc[-1], *(b for _, b in self.bottleneck),
-                            self.reduce_mid])
+        layer = dict(self.named_layers)
+        level = Sequential([layer["enc4"], *(b for _, b in bottleneck),
+                            layer["reduce_mid"]])
         for i in reversed(range(LEVELS - 1)):
-            down = Sequential([self.pools[i], level, self.ups[i]])
+            down = Sequential([MaxPoolSpatial(), level, UpsampleNearestSpatial()])
             level = Sequential([
-                self.enc[i],
-                Parallel([("skip", self.reduce_skip[i]), ("down", down)]),
-                self.dec[i]])
-        self.graph = Sequential([level, self.head, self.head_act])
+                layer[f"enc{i}"],
+                Parallel([("skip", layer[f"reduce_skip{i}"]), ("down", down)]),
+                layer[f"dec{i}"]])
+        tail = [Activation("sigmoid")] if cfg.head == "binary" else []
+        self.graph = Sequential([level, layer["head"], *tail])
 
     def _level_block(self, in_channels, out_channels, time_extent) -> Layer:
         raise NotImplementedError
 
     def children(self):
-        named = [(f"enc{i}", b) for i, b in enumerate(self.enc)]
-        named += self.bottleneck
-        named += [(f"reduce_skip{i}", r) for i, r in enumerate(self.reduce_skip)]
-        named.append(("reduce_mid", self.reduce_mid))
-        named += [(f"dec{i}", b) for i, b in enumerate(self.dec)]
-        named.append(("head", self.head))
-        return named
+        return self.named_layers
 
     def out_shape(self, shape):
         t, h, w, c = shape
@@ -156,7 +147,8 @@ class BroadUNet(_UNetBase):
     def __init__(self, cfg: ModelConfig):
         super().__init__(cfg, bottleneck=[
             ("aspp", Aspp(cfg.channel_plan[-1], cfg.channel_plan[-1])),
-            ("dropout", Dropout(cfg.dropout_rate)),
+            *([("dropout", Dropout(cfg.dropout_rate))]
+              if cfg.dropout_rate else []),
         ])
 
     def _level_block(self, in_channels, out_channels, time_extent):

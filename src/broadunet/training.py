@@ -200,7 +200,7 @@ def _ratio(num: int, den: int, other_den: int) -> float:
     return num / den
 
 
-def evaluate(predictor, test_set, threshold: float,
+def evaluate(predictor, test_set, threshold: float = 0.5,
              denorm_factor: float = 1.0) -> MetricsReport:
     """MSE over denormalized data plus pixelwise binary metrics.
 

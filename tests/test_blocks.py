@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from broadunet.blocks import ASPP_RATES, Aspp, MultiScaleBlock
-from broadunet.layers import Conv3D
+from broadunet.layers import Conv3D, Sequential
 from broadunet.model import build_broad_unet, dump_feature_maps, mini_config
 from broadunet.training import grad_check
 
@@ -95,6 +95,14 @@ class TestMultiScaleBlock:
     def test_gradient_check(self):
         block = MultiScaleBlock(2, 3, factorized=True, time_extent=2)
         report = grad_check(block, in_shape=(2, 6, 6, 2), tol=1e-4, seed=23)
+        assert report.passed, report
+
+    def test_identity_residual_gradient_check(self):
+        # equal widths: the residual is the identity `Sequential([])`
+        block = MultiScaleBlock(3, 3, factorized=True, time_extent=2)
+        assert isinstance(block.project, Sequential)
+        assert not block.project.layers
+        report = grad_check(block, in_shape=(2, 6, 6, 3), tol=1e-4, seed=24)
         assert report.passed, report
 
     @pytest.mark.parametrize("block_index", [0, 5],

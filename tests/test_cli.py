@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from broadunet import datapipe
 from broadunet.archive import archive_load, archive_save, json_record
 from broadunet.cli import EVAL_COLUMNS, run
 from broadunet.datapipe import load_frames, load_samples
@@ -33,6 +34,15 @@ def workspace(tmp_path_factory):
     return {"root": root, "frames": frames, "samples": samples,
             "run_dir": run_dir,
             "checkpoint": os.path.join(run_dir, "checkpoint.btar")}
+
+
+@pytest.fixture(scope="module")
+def raw_radar(tmp_path_factory):
+    """Three synthetic frames at the radar's raw 765x700 extent."""
+    path = str(tmp_path_factory.mktemp("raw") / "raw.btar")
+    assert run(["synth-gen", "--out", path, "--h", "765", "--w", "700",
+                "--frames", "3", "--sigma", "40"]) == 0
+    return path
 
 
 class TestExitCodes:
@@ -109,6 +119,43 @@ class TestExitCodes:
         assert err.startswith("error: ") and named in err
         assert os.listdir(tmp_path) == []
 
+    def test_train_has_no_threshold_flag(self, tmp_path):
+        # the test report keeps only the MSE, so a threshold had no effect
+        out_dir = tmp_path / "r"
+        assert run(["train", "--threshold", "0.5",
+                    "--out-dir", str(out_dir)]) == 1
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--train-fraction", "5"), ("--train-fraction", "-1"),
+        ("--train-fraction", "0"), ("--train-fraction", "nan"),
+        ("--rain-fraction", "1.5"), ("--rain-fraction", "nan"),
+        ("--rain-fraction", "-0.5"),
+    ])
+    def test_bad_precip_fractions_are_usage_errors(
+            self, raw_radar, tmp_path, capsys, flag, value):
+        assert run(["preprocess", "--task", "precip", "--frames", raw_radar,
+                    "--out", str(tmp_path / "clean.btar"), flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag[2:].replace("-", " ") in err
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--cadence-minutes", "nan"), ("--cadence-minutes", "-5"),
+        ("--cadence-minutes", "0"), ("--cadence-minutes", "inf"),
+        ("--denorm-factor", "nan"), ("--denorm-factor", "0"),
+        ("--denorm-factor", "-1"), ("--denorm-factor", "inf"),
+        ("--threshold", "nan"), ("--threshold", "inf"),
+    ])
+    def test_bad_eval_values_are_usage_errors(self, workspace, tmp_path,
+                                              capsys, flag, value):
+        assert run(["eval", "--checkpoint", workspace["checkpoint"],
+                    "--samples", workspace["samples"],
+                    "--out", str(tmp_path / "m.csv"), flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} must be finite")
+        assert os.listdir(tmp_path) == []
+
     def test_failed_grad_check_is_numeric_error(self, capsys):
         assert run(["grad-check", "--arch", "layers", "--tol", "1e-18"]) == 3
         assert "FAIL" in capsys.readouterr().out
@@ -180,6 +227,34 @@ class TestSynthAndSamples:
         assert run(["params", "--t", "2", "--hw", "16", "--f0", "1"]) == 0
         assert run(["grad-check", "--arch", "layers"]) == 0
         assert sorted(os.listdir()) == ["m.csv", "run-manifest.json"]
+
+
+class TestPreprocess:
+    @pytest.mark.parametrize("task", ["precip", "cloud"])
+    def test_reads_the_frames_archive_once(self, raw_radar, tmp_path,
+                                           monkeypatch, task):
+        frames = raw_radar
+        if task == "cloud":
+            rng = np.random.default_rng(3)
+            frames = str(tmp_path / "cloud_raw.btar")
+            archive_save(frames, {
+                "frames": rng.integers(1, 16, (2, 20, 24, 1)).astype(np.float32),
+                "cadence_minutes": np.asarray([15.0]),
+                "lats": np.linspace(53, 40, 20),
+                "lons": np.linspace(-7, 11, 24)})
+        loads = []
+
+        def counting_load(path):
+            loads.append(path)
+            return archive_load(path)
+
+        monkeypatch.setattr(datapipe, "archive_load", counting_load)
+        out = str(tmp_path / "clean.btar")
+        assert run(["preprocess", "--task", task, "--frames", frames,
+                    "--out", out]) == 0
+        assert loads == [frames]
+        monkeypatch.undo()
+        assert len(load_frames(out)) >= 1
 
 
 class TestTrain:
@@ -576,6 +651,14 @@ class TestGradCheckCommand:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert out.count("pass") == 8
+
+    def test_seed_moves_the_primitive_layer_checks(self, capsys):
+        outs = []
+        for seed in ("0", "1"):
+            assert run(["grad-check", "--arch", "layers", "--seed", seed]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] != outs[1]
+        assert all(out.count("pass") == 8 for out in outs)
 
     @pytest.mark.parametrize("arch", ["broad-unet", "unet"])
     def test_mini_network_passes(self, capsys, arch):

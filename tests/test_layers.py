@@ -446,25 +446,13 @@ class TestActivation:
                             seed=3)
         assert report.passed
 
-    def test_linear_identity(self):
-        x = np.random.default_rng(7).standard_normal(5)
-        act = Activation("linear")
-        np.testing.assert_array_equal(act.forward(x), x)
-        np.testing.assert_array_equal(act.backward(x), x)
-
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            Activation("tanh")
+        for kind in ("tanh", "linear"):
+            with pytest.raises(ValueError):
+                Activation(kind)
 
 
 class TestDropout:
-    def test_rate_zero_identity(self):
-        x = np.random.default_rng(8).random((2, 3, 3, 1))
-        layer = Dropout(0.0)
-        rng = np.random.default_rng(0)
-        np.testing.assert_array_equal(layer.forward(x, train=True, rng=rng), x)
-        np.testing.assert_array_equal(layer.forward(x, train=False), x)
-
     def test_inference_identity(self):
         x = np.random.default_rng(9).random((2, 3, 3, 1))
         np.testing.assert_array_equal(Dropout(0.5).forward(x, train=False), x)
@@ -474,6 +462,8 @@ class TestDropout:
             Dropout(1.0)
         with pytest.raises(ValueError):
             Dropout(-0.1)
+        with pytest.raises(ValueError):
+            Dropout(0.0)
 
     def test_kept_fraction_and_mean(self):
         x = np.ones(100_000)
@@ -519,7 +509,7 @@ class TestImageLevelPool:
 
 class TestParallel:
     def test_concat_in_branch_order(self):
-        layer = Parallel([("id", Activation("linear")),
+        layer = Parallel([("id", Sequential([])),
                           ("pool", ImageLevelPool())])
         x = np.random.default_rng(12).random((2, 4, 4, 3))
         y = layer.forward(x)
@@ -531,8 +521,7 @@ class TestParallel:
                                         x.shape))
 
     def test_backward_sums_branch_grads(self):
-        layer = Parallel([("a", Activation("linear")),
-                          ("b", Activation("linear"))])
+        layer = Parallel([("a", Sequential([])), ("b", Sequential([]))])
         layer.forward(np.zeros((1, 2, 2, 1)), train=True)
         grad = np.stack([np.full((1, 2, 2), 2.0), np.full((1, 2, 2), 3.0)],
                         axis=-1)
@@ -540,7 +529,7 @@ class TestParallel:
                                       np.full((1, 2, 2, 1), 5.0))
 
     def test_branch_extents_must_agree(self):
-        layer = Parallel([("same", Activation("linear")),
+        layer = Parallel([("same", Sequential([])),
                           ("pooled", MaxPoolSpatial())])
         with pytest.raises(ShapeError):
             layer.out_shape((1, 4, 4, 2))
@@ -644,8 +633,8 @@ class TestTape:
             layer.forward(x).tobytes()
 
     @pytest.mark.parametrize("layer", [
-        UpsampleNearestSpatial(), ImageLevelPool(), Activation("linear"),
-        Dropout(0.0)], ids=["upsample", "image_pool", "linear", "dropout0"])
+        UpsampleNearestSpatial(), ImageLevelPool(), Sequential([])],
+        ids=["upsample", "image_pool", "identity"])
     def test_stateless_layers_keep_no_tape(self, layer):
         x = np.random.default_rng(3).standard_normal((1, 4, 4, 2))
         y = layer.forward(x, train=True, rng=np.random.default_rng(4))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -6,8 +7,9 @@ import pytest
 from broadunet import archive
 from broadunet import model as model_module
 from broadunet.archive import FormatError
-from broadunet.layers import Conv3D, Layer, Parallel
+from broadunet.layers import Conv3D, Dropout, Layer, MaxPoolSpatial, Parallel
 from broadunet.model import (
+    ARCHS,
     Model,
     ModelConfig,
     build_broad_unet,
@@ -34,7 +36,7 @@ class TestConfig:
     def test_aspp_channels_must_match_bottleneck(self):
         # the ASPP is built at the bottleneck width; no setting can change it
         aspp = dict(build_broad_unet(mini_config(base_filters=3))
-                    .root.bottleneck)["aspp"]
+                    .root.children())["aspp"]
         convs = [(name, layer.spec) for name, layer in aspp.walk()
                  if isinstance(layer, Conv3D)]
         assert {spec.out_channels for _, spec in convs} == {48}
@@ -65,11 +67,12 @@ class TestShapeContract:
 
     def test_encoder_spatial_halving(self):
         model = build_broad_unet(mini_config())
+        layers = dict(model.root.children())
         shape = (2, 16, 16, 1)
         extents = [16]
         for i in range(4):
-            shape = model.root.enc[i].out_shape(shape)
-            shape = model.root.pools[i].out_shape(shape)
+            shape = layers[f"enc{i}"].out_shape(shape)
+            shape = MaxPoolSpatial().out_shape(shape)
             extents.append(shape[1])
         assert extents == [16, 8, 4, 2, 1]
 
@@ -235,6 +238,18 @@ class TestTapeFreeInference:
         y = model.forward(x, train=True, rng=np.random.default_rng(0))
         assert y.tobytes() == model.forward(x).tobytes()
 
+    def test_rate_zero_builds_no_dropout_and_draws_nothing(self):
+        model = build_broad_unet(mini_config(dropout_rate=0.0)).initialize(
+            seed=8)
+        assert "dropout" not in dict(model.root.children())
+        assert not any(isinstance(layer, Dropout)
+                       for _, layer in model.root.walk())
+        rng = np.random.default_rng(3)
+        before = rng.bit_generator.state
+        model.forward(np.ones((2, 16, 16, 1), dtype=np.float32), train=True,
+                      rng=rng)
+        assert rng.bit_generator.state == before
+
     @pytest.mark.parametrize("builder", [build_broad_unet, build_plain_unet])
     def test_training_step_bitwise_unchanged_by_inference(self, builder):
         model = builder(mini_config()).initialize(seed=9)
@@ -307,7 +322,30 @@ class TestFeatureMaps:
                                               dtype=np.float32), 99)
 
 
+# SHA-256 of the `Model.save` bytes after `initialize(seed=0)` at
+# `mini_config(head=...)`, recorded before the layer graph lost its
+# do-nothing parts: parameter names, walk order and initial values must not
+# move when the graph is restructured
+SAVED_MINI_SHA256 = {
+    ("broad-unet", "regression"):
+        "93f244917b65cb42f6488bf5d4f3baa37e57a4e456f7c1290b79fdf08674e810",
+    ("broad-unet", "binary"):
+        "ecc773b6c9c354fff7dfc9e411b6ffe31f292eef7417d41e72956c302dbb4a80",
+    ("unet", "regression"):
+        "2ce3153ab52407fb24b6f58e9c443930c45d2cb261e5af1ad40bc3e48b3d5754",
+    ("unet", "binary"):
+        "5dfcc64e5efd2bbac42650cfb29a9a8daf0622268a16553ecddfeb14586199ad",
+}
+
+
 class TestCheckpoint:
+    @pytest.mark.parametrize("arch,head", sorted(SAVED_MINI_SHA256))
+    def test_initialized_mini_bytes_are_pinned(self, tmp_path, arch, head):
+        path = tmp_path / "model.btar"
+        ARCHS[arch](mini_config(head=head)).initialize(seed=0).save(path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == SAVED_MINI_SHA256[arch, head]
+
     def test_bit_exact_round_trip(self, tmp_path):
         model = build_broad_unet(mini_config(head="binary")).initialize(seed=11)
         path = tmp_path / "model.btar"

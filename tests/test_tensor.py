@@ -7,7 +7,7 @@ pin its concat order, its per-branch slicing and the `ShapeError` that
 import numpy as np
 import pytest
 
-from broadunet.layers import Activation, Layer, Parallel
+from broadunet.layers import Layer, Parallel, Sequential
 from broadunet.tensor import ShapeError
 
 
@@ -44,8 +44,7 @@ class TestConcatChannels:
 
     def test_self_concat_blocks(self):
         x = np.random.default_rng(1).random((1, 2, 2, 3))
-        layer = Parallel([("a", Activation("linear")),
-                          ("b", Activation("linear"))])
+        layer = Parallel([("a", Sequential([])), ("b", Sequential([]))])
         y = layer.forward(x)
         np.testing.assert_array_equal(y[..., :3], x)
         np.testing.assert_array_equal(y[..., 3:], x)
