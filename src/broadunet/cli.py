@@ -74,16 +74,15 @@ def _write_run_manifest(args, outputs, extra, wall_time):
     return path
 
 
-def _load_model_and_samples(checkpoint, samples_path):
-    """A checkpoint's model and a samples file whose windows it takes."""
+def _load_model(checkpoint, samples, samples_path):
+    """A checkpoint's model, which must take the windows of `samples`."""
     model = Model.load(checkpoint)
-    samples = datapipe.load_samples(samples_path)
     if samples.inputs.shape[1:] != model.input_shape():
         raise DataError(
             f"samples in {samples_path} have windows of shape "
             f"{samples.inputs.shape[1:]}, but checkpoint {checkpoint} "
             f"takes {model.input_shape()}")
-    return model, samples
+    return model
 
 
 def _window(samples, index):
@@ -179,24 +178,6 @@ def cmd_train(args):
         "test_mse": report.mse, "persistence_test_mse": baseline.mse}
 
 
-def _parse_horizons(args):
-    """The `--horizons` list: a range `lo-hi` or `a,b,...`, each at least 1,
-    filled into a `{h}` of the checkpoint or samples path."""
-    if "{h}" not in args.checkpoint and "{h}" not in args.samples:
-        raise ValueError("--horizons needs {h} in --checkpoint or --samples")
-    text = args.horizons
-    lo, _, hi = text.partition("-")
-    try:
-        horizons = (list(range(int(lo), int(hi) + 1)) if hi
-                    else [int(v) for v in text.split(",")])
-    except ValueError:
-        horizons = []
-    if not horizons or min(horizons) < 1:
-        raise ValueError(f"--horizons {text!r} must name at least one "
-                         f"horizon, each a whole number of at least 1")
-    return horizons
-
-
 def cmd_eval(args):
     for flag, value in (("--cadence-minutes", args.cadence_minutes),
                         ("--denorm-factor", args.denorm_factor)):
@@ -204,16 +185,14 @@ def cmd_eval(args):
             raise ValueError(f"{flag} must be finite and positive, got {value}")
     if not np.isfinite(args.threshold):
         raise ValueError(f"--threshold must be finite, got {args.threshold}")
-    horizons = _parse_horizons(args) if args.horizons else [None]
     rows = []
-    for h in horizons:
-        ckpt = args.checkpoint.replace("{h}", str(h)) if h else args.checkpoint
-        spath = args.samples.replace("{h}", str(h)) if h else args.samples
-        model, samples = _load_model_and_samples(ckpt, spath)
+    for path in args.samples:
+        samples = datapipe.load_samples(path)
+        checkpoint = args.checkpoint.replace("{h}", str(samples.horizon))
+        model = _load_model(checkpoint, samples, path)
         report = training.evaluate(model, samples, args.threshold,
                                    args.denorm_factor)
-        minutes = (h or samples.horizon) * args.cadence_minutes
-        rows.append((minutes, report))
+        rows.append((samples.horizon * args.cadence_minutes, report))
     with open(args.out, "w", newline="\n") as f:
         f.write(EVAL_COLUMNS + "\n")
         for minutes, r in rows:
@@ -224,7 +203,8 @@ def cmd_eval(args):
 
 
 def cmd_predict(args):
-    model, samples = _load_model_and_samples(args.checkpoint, args.samples)
+    samples = datapipe.load_samples(args.samples)
+    model = _load_model(args.checkpoint, samples, args.samples)
     y = model.predict(_window(samples, args.index))
     lo, hi = pgm.write_pgm(args.out, y[0, :, :, 0])
     print(f"prediction image -> {args.out} (scale {lo:.6g}..{hi:.6g})")
@@ -267,9 +247,9 @@ def cmd_grad_check(args):
     if args.arch == "layers":
         checks = _primitive_layer_checks()
     else:
-        cfg = mini_config(head=args.head)
-        model = ARCHS[args.arch.removesuffix("-mini")](cfg).initialize(
-            seed=args.seed, dtype=np.float64)
+        arch, _, binary = args.arch.partition("-mini")
+        cfg = mini_config(head="binary" if binary else "regression")
+        model = ARCHS[arch](cfg).initialize(seed=args.seed, dtype=np.float64)
         checks = [(args.arch, model, None)]
     failed = False
     for name, target, shape in checks:
@@ -285,7 +265,8 @@ def cmd_grad_check(args):
 
 
 def cmd_dump_features(args):
-    model, samples = _load_model_and_samples(args.checkpoint, args.samples)
+    samples = datapipe.load_samples(args.samples)
+    model = _load_model(args.checkpoint, samples, args.samples)
     maps = dump_feature_maps(model, _window(samples, args.index), args.block)
     os.makedirs(args.out_dir, exist_ok=True)
     outputs = [os.path.join(args.out_dir, f"block{args.block}_features.btar")]
@@ -370,10 +351,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
     p.add_argument("--checkpoint", required=True,
-                   help="checkpoint path; may contain {h} with --horizons")
-    p.add_argument("--samples", required=True,
-                   help="samples path; may contain {h} with --horizons")
-    p.add_argument("--horizons", default=None, help="e.g. 1-6 or 1,3,6")
+                   help="checkpoint path; {h} is each samples file's horizon")
+    p.add_argument("--samples", required=True, nargs="+",
+                   help="samples files, one CSV row each")
     p.add_argument("--cadence-minutes", type=float, default=15.0)
     p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--denorm-factor", type=float, default=1.0)
@@ -393,11 +373,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grad-check", help="finite-difference gradient checks")
     p.add_argument("--arch", default="broad-unet-mini",
-                   choices=["layers", *(f"{arch}-mini" for arch in ARCHS)])
+                   choices=["layers", *(f"{arch}-mini{head}" for arch in ARCHS
+                                        for head in ("", "-binary"))])
     p.add_argument("--tol", type=float, default=1e-4)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--head", default="regression",
-                   choices=["regression", "binary"])
     p.set_defaults(func=cmd_grad_check)
 
     p = sub.add_parser("dump-features", help="branch feature maps of one block")

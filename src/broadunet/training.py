@@ -95,6 +95,9 @@ class TrainConfig:
         for name in ("batch_size", "max_epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be finite and positive, "
+                             f"got {self.learning_rate}")
 
 
 @dataclass

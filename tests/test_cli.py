@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -34,6 +35,19 @@ def workspace(tmp_path_factory):
     return {"root": root, "frames": frames, "samples": samples,
             "run_dir": run_dir,
             "checkpoint": os.path.join(run_dir, "checkpoint.btar")}
+
+
+@pytest.fixture
+def archive_loads(monkeypatch):
+    """The paths that `datapipe.archive_load` reads, in order."""
+    loads = []
+
+    def counting_load(path):
+        loads.append(path)
+        return archive_load(path)
+
+    monkeypatch.setattr(datapipe, "archive_load", counting_load)
+    return loads
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +93,8 @@ class TestExitCodes:
         ("--batch", "-1", "batch_size"),
         ("--batch", "0", "batch_size"),
         ("--epochs", "0", "max_epochs"),
+        *(("--lr", value, "learning_rate")
+          for value in ("nan", "inf", "-1", "0")),
     ])
     def test_bad_training_count_is_usage_error(self, tmp_path, capsys, flag,
                                                value, field):
@@ -232,7 +248,7 @@ class TestSynthAndSamples:
 class TestPreprocess:
     @pytest.mark.parametrize("task", ["precip", "cloud"])
     def test_reads_the_frames_archive_once(self, raw_radar, tmp_path,
-                                           monkeypatch, task):
+                                           archive_loads, task):
         frames = raw_radar
         if task == "cloud":
             rng = np.random.default_rng(3)
@@ -242,18 +258,10 @@ class TestPreprocess:
                 "cadence_minutes": np.asarray([15.0]),
                 "lats": np.linspace(53, 40, 20),
                 "lons": np.linspace(-7, 11, 24)})
-        loads = []
-
-        def counting_load(path):
-            loads.append(path)
-            return archive_load(path)
-
-        monkeypatch.setattr(datapipe, "archive_load", counting_load)
         out = str(tmp_path / "clean.btar")
         assert run(["preprocess", "--task", task, "--frames", frames,
                     "--out", out]) == 0
-        assert loads == [frames]
-        monkeypatch.undo()
+        assert archive_loads == [frames]
         assert len(load_frames(out)) >= 1
 
 
@@ -361,9 +369,13 @@ class TestEval:
         for v in values[3:]:
             assert 0.0 <= v <= 1.0
 
-    @pytest.mark.parametrize("horizons", ["1-2", "1,2"])
+    # the shell brace forms that stand in for the old `--horizons 1-2` and
+    # `--horizons 1,2` calls, as the README's eval example uses them
+    @pytest.mark.parametrize("brace", ["{1..2}", "{1,2}"], ids=["1-2", "1,2"])
     def test_horizons_fill_templated_paths(self, workspace, tmp_path,
-                                           horizons):
+                                           archive_loads, brace):
+        # each samples file is one row, scored by the checkpoint its own
+        # horizon names
         for h in (1, 2):
             shutil.copyfile(workspace["checkpoint"], tmp_path / f"ckpt{h}.btar")
             assert run(["make-samples", "--frames", workspace["frames"],
@@ -376,32 +388,40 @@ class TestEval:
                         "--samples", str(tmp_path / f"samples{h}.btar"),
                         "--cadence-minutes", "5", "--out", str(out)]) == 0
             single.append(out.read_text().splitlines()[1])
+        archive_loads.clear()
         out = tmp_path / "metrics.csv"
+        samples = [str(tmp_path / f"samples{h}.btar") for h in (1, 2)]
+        expanded = subprocess.run(
+            ["bash", "-c", "printf '%s\\n' "
+             f"{shlex.quote(str(tmp_path / 'samples'))}{brace}.btar"],
+            capture_output=True, text=True, check=True).stdout.split()
+        assert expanded == samples
         assert run(["eval", "--checkpoint", str(tmp_path / "ckpt{h}.btar"),
-                    "--samples", str(tmp_path / "samples{h}.btar"),
-                    "--horizons", horizons, "--cadence-minutes", "5",
+                    "--samples", *expanded, "--cadence-minutes", "5",
                     "--out", str(out)]) == 0
+        assert archive_loads == samples
         lines = out.read_text().splitlines()
         assert lines == [EVAL_COLUMNS, *single]
         assert [float(line.split(",")[0]) for line in lines[1:]] == [5.0, 10.0]
         assert lines[1].split(",")[1] != lines[2].split(",")[1]
 
-    @pytest.mark.parametrize("horizons,template", [
-        ("1-3", False), ("3-1", True), ("0,1", True), ("-1", True),
-    ], ids=["no_template", "empty_range", "zero_horizon", "malformed"])
-    def test_bad_horizons_are_usage_errors(self, workspace, tmp_path, capsys,
-                                           horizons, template):
-        checkpoint = workspace["checkpoint"]
-        if template:
-            shutil.copyfile(checkpoint, tmp_path / "ckpt1.btar")
-            checkpoint = str(tmp_path / "ckpt{h}.btar")
+    def test_templated_checkpoint_takes_the_samples_horizon(
+            self, workspace, tmp_path, archive_loads):
+        # the samples file, not the template, names the horizon: one
+        # horizon-1 file is one row at 5 minutes
+        shutil.copyfile(workspace["checkpoint"], tmp_path / "ck1.btar")
         out = tmp_path / "m.csv"
-        capsys.readouterr()
-        assert run(["eval", "--checkpoint", checkpoint,
-                    "--samples", workspace["samples"], "--horizons", horizons,
-                    "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith("error: --horizons")
-        assert not out.exists()
+        assert run(["eval", "--checkpoint", str(tmp_path / "ck{h}.btar"),
+                    "--samples", workspace["samples"], "--cadence-minutes", "5",
+                    "--out", str(out)]) == 0
+        assert archive_loads == [workspace["samples"]]
+        lines = out.read_text().splitlines()
+        assert len(lines) == 2 and float(lines[1].split(",")[0]) == 5.0
+
+    def test_samples_without_a_path_is_usage_error(self, workspace, tmp_path):
+        assert run(["eval", "--checkpoint", workspace["checkpoint"],
+                    "--out", str(tmp_path / "m.csv"), "--samples"]) == 1
+        assert os.listdir(tmp_path) == []
 
     def test_missing_checkpoint(self, workspace, tmp_path):
         assert run(["eval", "--checkpoint", str(tmp_path / "none.btar"),
@@ -664,6 +684,18 @@ class TestGradCheckCommand:
     def test_mini_network_passes(self, capsys, arch):
         assert run(["grad-check", "--arch", f"{arch}-mini"]) == 0
         assert capsys.readouterr().out.startswith(f"pass {arch}-mini:")
+
+    def test_binary_arch_checks_the_binary_head(self, capsys):
+        outs = []
+        for arch in ("broad-unet-mini", "broad-unet-mini-binary"):
+            assert run(["grad-check", "--arch", arch]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[1].startswith("pass broad-unet-mini-binary:")
+        assert outs[0].split(":", 1)[1] != outs[1].split(":", 1)[1]
+
+    def test_has_no_head_flag(self):
+        # the head is part of the --arch name, so no flag can go unread
+        assert run(["grad-check", "--arch", "layers", "--head", "binary"]) == 1
 
 
 class TestDumpFeatures:
