@@ -74,9 +74,11 @@ def _write_run_manifest(args, outputs, extra, wall_time):
     return path
 
 
-def _load_model(checkpoint, samples, samples_path):
-    """A checkpoint's model, which must take the windows of `samples`."""
-    model = Model.load(checkpoint)
+def _load_model(checkpoint, samples, samples_path, last=(None, None)):
+    """A checkpoint's model, which must take the windows of `samples`; the
+    `(checkpoint, model)` pair `last` is reused, not reloaded, for its path.
+    Only the last model is kept: one per distinct path would hold them all."""
+    model = last[1] if last[0] == checkpoint else Model.load(checkpoint)
     if samples.inputs.shape[1:] != model.input_shape():
         raise DataError(
             f"samples in {samples_path} have windows of shape "
@@ -179,20 +181,17 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    for flag, value in (("--cadence-minutes", args.cadence_minutes),
-                        ("--denorm-factor", args.denorm_factor)):
-        if not 0 < value < np.inf:
-            raise ValueError(f"{flag} must be finite and positive, got {value}")
     if not np.isfinite(args.threshold):
         raise ValueError(f"--threshold must be finite, got {args.threshold}")
-    rows = []
+    rows, last = [], (None, None)
     for path in args.samples:
         samples = datapipe.load_samples(path)
+        meta = samples.metadata
         checkpoint = args.checkpoint.replace("{h}", str(samples.horizon))
-        model = _load_model(checkpoint, samples, path)
-        report = training.evaluate(model, samples, args.threshold,
-                                   args.denorm_factor)
-        rows.append((samples.horizon * args.cadence_minutes, report))
+        last = checkpoint, _load_model(checkpoint, samples, path, last)
+        report = training.evaluate(last[1], samples, args.threshold,
+                                   meta.get("norm_factor", 1.0))
+        rows.append((samples.horizon * float(meta["cadence_minutes"]), report))
     with open(args.out, "w", newline="\n") as f:
         f.write(EVAL_COLUMNS + "\n")
         for minutes, r in rows:
@@ -244,6 +243,8 @@ def _primitive_layer_checks():
 
 
 def cmd_grad_check(args):
+    if not 0 < args.tol < np.inf:
+        raise ValueError(f"--tol must be finite and positive, got {args.tol}")
     if args.arch == "layers":
         checks = _primitive_layer_checks()
     else:
@@ -354,9 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="checkpoint path; {h} is each samples file's horizon")
     p.add_argument("--samples", required=True, nargs="+",
                    help="samples files, one CSV row each")
-    p.add_argument("--cadence-minutes", type=float, default=15.0)
     p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--denorm-factor", type=float, default=1.0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
 

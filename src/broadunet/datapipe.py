@@ -45,20 +45,21 @@ class FrameSequence:
 
 @dataclass
 class SampleSet:
-    """(input (T,H,W,F), target (1,H,W,F)) pairs with their start frames."""
+    """(input, target) window pairs plus their frames' metadata and cadence."""
 
     inputs: np.ndarray    # (N, T, H, W, F)
     targets: np.ndarray   # (N, 1, H, W, F)
     lags: int
     horizon: int
     starts: np.ndarray
+    metadata: dict = field(default_factory=dict)
 
     def __len__(self):
         return self.inputs.shape[0]
 
     def subset(self, index) -> "SampleSet":
-        return SampleSet(self.inputs[index], self.targets[index],
-                         self.lags, self.horizon, self.starts[index])
+        return SampleSet(self.inputs[index], self.targets[index], self.lags,
+                         self.horizon, self.starts[index], self.metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +161,8 @@ def make_samples(seq: FrameSequence, lags: int, horizon: int) -> SampleSet:
     inputs = np.stack([seq.frames[i:i + lags] for i in range(count)])
     targets = np.stack([seq.frames[i + lags - 1 + horizon][None]
                         for i in range(count)])
-    return SampleSet(inputs, targets, lags, horizon, np.arange(count))
+    return SampleSet(inputs, targets, lags, horizon, np.arange(count),
+                     {**seq.metadata, "cadence_minutes": seq.cadence_minutes})
 
 
 def split_counts(samples: SampleSet, n_train: int, n_val: int, n_test: int):
@@ -250,6 +252,15 @@ def _require_records(records, path, kind, names) -> dict:
     return records
 
 
+def _metadata(records, path, kind) -> dict:
+    """The JSON object in the `metadata` record of archive `path`."""
+    meta = read_json_record(records["metadata"], f"the metadata of {path}")
+    if not isinstance(meta, dict):
+        raise DataError(f"{kind} archive {path} needs its metadata to be a "
+                        f"JSON object; it holds {meta!r:.60}")
+    return meta
+
+
 def load_frames(path) -> FrameSequence:
     return frames_from_records(archive_load(path), path)
 
@@ -264,44 +275,38 @@ def frames_from_records(records, path) -> FrameSequence:
             f"positive cadence_minutes value; it holds frames of shape "
             f"{frames.shape} and {cadence.size} cadence_minutes value(s), "
             f"starting {cadence.ravel()[:3].tolist()}")
-    meta = (read_json_record(records["metadata"], f"the metadata of {path}")
-            if "metadata" in records else {})
-    if not isinstance(meta, dict):
-        raise DataError(f"frames archive {path} needs its metadata to be a "
-                        f"JSON object; it holds {meta!r:.60}")
+    meta = _metadata(records, path, "frames") if "metadata" in records else {}
     return FrameSequence(frames, float(cadence.item()), metadata=meta)
 
 
 def save_samples(path, samples: SampleSet) -> None:
+    """Lags and starts are not stored: they follow from the inputs."""
     archive_save(path, {
         "inputs": samples.inputs,
         "targets": samples.targets,
-        "starts": samples.starts.astype(np.float64),
-        "lags_horizon": np.asarray([samples.lags, samples.horizon],
-                                   dtype=np.float64),
+        "metadata": json_record({**samples.metadata,
+                                 "horizon": samples.horizon}),
     })
 
 
 def load_samples(path) -> SampleSet:
     records = _require_records(archive_load(path), path, "samples",
-                               ("inputs", "targets", "starts", "lags_horizon"))
-    counts = {n: records[n].shape[:1] for n in ("inputs", "targets", "starts")}
-    if len(set(counts.values())) != 1 or records["lags_horizon"].shape != (2,):
-        raise DataError(
-            f"samples archive {path} needs equal window counts and two "
-            f"lags_horizon values; it holds window counts {counts} and "
-            f"{records['lags_horizon'].size} lags_horizon value(s)")
+                               ("inputs", "targets", "metadata"))
     inputs, targets = records["inputs"], records["targets"]
-    if inputs.ndim != 5 or targets.shape[1:] != (1, *inputs.shape[2:]):
+    if inputs.ndim != 5 or targets.shape != (len(inputs), 1, *inputs.shape[2:]):
         raise DataError(
             f"samples archive {path} needs (N, T, H, W, F) inputs and "
             f"(N, 1, H, W, F) targets; it holds inputs of shape "
             f"{inputs.shape} and targets of shape {targets.shape}")
-    lags, horizon = map(float, records["lags_horizon"])
-    if lags != inputs.shape[1] or not (horizon >= 1 and horizon.is_integer()):
+    meta = _metadata(records, path, "samples")
+    horizon, cadence = meta.pop("horizon", None), meta.get("cadence_minutes")
+    norm = meta.get("norm_factor", 1.0)
+    # a JSON true loads as a bool, which is an int but no number here
+    if not (type(horizon) is int and horizon >= 1 and all(
+            type(v) in (int, float) and 0 < v < np.inf for v in (cadence, norm))):
         raise DataError(
-            f"samples archive {path} needs lags_horizon to hold the inputs' "
-            f"T={inputs.shape[1]} and a whole horizon of at least 1; it "
-            f"holds {lags!r} and {horizon!r}")
-    return SampleSet(inputs, targets, int(lags), int(horizon),
-                     records["starts"].astype(np.int64))
+            f"samples archive {path} needs a whole horizon >= 1 and a finite "
+            f"positive cadence_minutes and norm_factor (if any) in its metadata"
+            f"; it holds {horizon!r}, {cadence!r} and {norm!r}")
+    return SampleSet(inputs, targets, inputs.shape[1], horizon,
+                     np.arange(len(inputs)), meta)

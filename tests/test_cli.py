@@ -13,8 +13,9 @@ from broadunet import datapipe
 from broadunet.archive import archive_load, archive_save, json_record
 from broadunet.cli import EVAL_COLUMNS, run
 from broadunet.datapipe import load_frames, load_samples
-from broadunet.model import Model
+from broadunet.model import ARCHS, Model, ModelConfig
 from broadunet.pgm import read_pgm
+from broadunet.training import evaluate
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +49,26 @@ def archive_loads(monkeypatch):
 
     monkeypatch.setattr(datapipe, "archive_load", counting_load)
     return loads
+
+
+def horizon_samples(workspace, folder, horizons=(1, 2)):
+    """Paths of lags-2 samples files cut from the workspace frames, one per
+    horizon."""
+    paths = [str(folder / f"samples{h}.btar") for h in horizons]
+    for h, path in zip(horizons, paths):
+        assert run(["make-samples", "--frames", workspace["frames"],
+                    "--lags", "2", "--horizon", str(h), "--out", path]) == 0
+    return paths
+
+
+def edit_metadata(**changes):
+    """An edit of a samples archive's records that sets keys of its
+    metadata; a None value drops the key."""
+    def edit(records):
+        meta = {**json.loads(bytes(records["metadata"])), **changes}
+        records["metadata"] = json_record(
+            {k: v for k, v in meta.items() if v is not None})
+    return edit
 
 
 @pytest.fixture(scope="module")
@@ -157,10 +178,6 @@ class TestExitCodes:
         assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("flag,value", [
-        ("--cadence-minutes", "nan"), ("--cadence-minutes", "-5"),
-        ("--cadence-minutes", "0"), ("--cadence-minutes", "inf"),
-        ("--denorm-factor", "nan"), ("--denorm-factor", "0"),
-        ("--denorm-factor", "-1"), ("--denorm-factor", "inf"),
         ("--threshold", "nan"), ("--threshold", "inf"),
     ])
     def test_bad_eval_values_are_usage_errors(self, workspace, tmp_path,
@@ -175,6 +192,14 @@ class TestExitCodes:
     def test_failed_grad_check_is_numeric_error(self, capsys):
         assert run(["grad-check", "--arch", "layers", "--tol", "1e-18"]) == 3
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+    def test_bad_grad_check_tol_is_usage_error(self, capsys, tol):
+        # nan, -1 and 0 would fail every check, inf would pass any error
+        assert run(["grad-check", "--arch", "layers", "--tol", tol]) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith("error: --tol must be finite and positive")
+        assert out == ""  # no check ran
 
 
 class TestSynthAndSamples:
@@ -357,7 +382,7 @@ class TestEval:
         out = str(tmp_path / "metrics.csv")
         assert run(["eval", "--checkpoint", workspace["checkpoint"],
                     "--samples", workspace["samples"],
-                    "--cadence-minutes", "5", "--out", out]) == 0
+                    "--out", out]) == 0
         lines = open(out).read().splitlines()
         assert lines[0] == EVAL_COLUMNS
         assert lines[0] == ("horizon_minutes,mse,mse_binarized,accuracy,"
@@ -378,27 +403,23 @@ class TestEval:
         # horizon names
         for h in (1, 2):
             shutil.copyfile(workspace["checkpoint"], tmp_path / f"ckpt{h}.btar")
-            assert run(["make-samples", "--frames", workspace["frames"],
-                        "--lags", "2", "--horizon", str(h),
-                        "--out", str(tmp_path / f"samples{h}.btar")]) == 0
+        samples = horizon_samples(workspace, tmp_path)
         single = []
         for h in (1, 2):
             out = tmp_path / f"single{h}.csv"
             assert run(["eval", "--checkpoint", str(tmp_path / f"ckpt{h}.btar"),
                         "--samples", str(tmp_path / f"samples{h}.btar"),
-                        "--cadence-minutes", "5", "--out", str(out)]) == 0
+                        "--out", str(out)]) == 0
             single.append(out.read_text().splitlines()[1])
         archive_loads.clear()
         out = tmp_path / "metrics.csv"
-        samples = [str(tmp_path / f"samples{h}.btar") for h in (1, 2)]
         expanded = subprocess.run(
             ["bash", "-c", "printf '%s\\n' "
              f"{shlex.quote(str(tmp_path / 'samples'))}{brace}.btar"],
             capture_output=True, text=True, check=True).stdout.split()
         assert expanded == samples
         assert run(["eval", "--checkpoint", str(tmp_path / "ckpt{h}.btar"),
-                    "--samples", *expanded, "--cadence-minutes", "5",
-                    "--out", str(out)]) == 0
+                    "--samples", *expanded, "--out", str(out)]) == 0
         assert archive_loads == samples
         lines = out.read_text().splitlines()
         assert lines == [EVAL_COLUMNS, *single]
@@ -412,11 +433,86 @@ class TestEval:
         shutil.copyfile(workspace["checkpoint"], tmp_path / "ck1.btar")
         out = tmp_path / "m.csv"
         assert run(["eval", "--checkpoint", str(tmp_path / "ck{h}.btar"),
-                    "--samples", workspace["samples"], "--cadence-minutes", "5",
-                    "--out", str(out)]) == 0
+                    "--samples", workspace["samples"], "--out", str(out)]) == 0
         assert archive_loads == [workspace["samples"]]
         lines = out.read_text().splitlines()
         assert len(lines) == 2 and float(lines[1].split(",")[0]) == 5.0
+
+    @pytest.mark.parametrize("template,loaded", [
+        ("ck.btar", ["ck.btar"]), ("ck{h}.btar", ["ck1.btar", "ck2.btar"]),
+    ], ids=["plain", "templated"])
+    def test_each_checkpoint_is_loaded_once(self, workspace, tmp_path,
+                                            monkeypatch, template, loaded):
+        for name in ("ck.btar", "ck1.btar", "ck2.btar"):
+            shutil.copyfile(workspace["checkpoint"], tmp_path / name)
+        samples = horizon_samples(workspace, tmp_path)
+        loads = []
+
+        def counting_load(path):
+            loads.append(os.path.basename(path))
+            return archive_load(path)
+
+        monkeypatch.setattr("broadunet.model.archive_load", counting_load)
+        out = tmp_path / "m.csv"
+        assert run(["eval", "--checkpoint", str(tmp_path / template),
+                    "--samples", *samples, "--out", str(out)]) == 0
+        assert loads == loaded
+        assert len(out.read_text().splitlines()) == 3
+
+    # 15-minute frames, as the cloud-cover task has, and an odd cadence
+    @pytest.mark.parametrize("cadence,labels", [
+        (15.0, ["15.0", "30.0"]), (2.5, ["2.5", "5.0"]),
+    ], ids=["15min", "2.5min"])
+    def test_rows_take_the_cadence_of_the_frames(self, workspace, tmp_path,
+                                                 cadence, labels):
+        records = archive_load(workspace["frames"])
+        records["cadence_minutes"] = np.array([cadence])
+        frames = str(tmp_path / "frames.btar")
+        archive_save(frames, records)
+        samples = horizon_samples({"frames": frames}, tmp_path)
+        out = tmp_path / "m.csv"
+        assert run(["eval", "--checkpoint", workspace["checkpoint"],
+                    "--samples", *samples, "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == labels
+
+    def test_precip_mse_is_denormalized(self, raw_radar, tmp_path):
+        clean, samples = str(tmp_path / "clean.btar"), str(tmp_path / "s.btar")
+        assert run(["preprocess", "--task", "precip", "--frames", raw_radar,
+                    "--out", clean]) == 0
+        assert run(["make-samples", "--frames", clean, "--lags", "1",
+                    "--out", samples]) == 0
+        norm_factor = load_frames(clean).metadata["norm_factor"]
+        assert norm_factor != 1.0
+        checkpoint = str(tmp_path / "ck.btar")
+        ARCHS["unet"](ModelConfig(lags=1, height=288, width=288, features=1,
+                                  base_filters=1)).initialize(seed=0).save(
+                                      checkpoint)
+        out = tmp_path / "m.csv"
+        assert run(["eval", "--checkpoint", checkpoint, "--samples", samples,
+                    "--out", str(out)]) == 0
+        row = out.read_text().splitlines()[1].split(",")
+        model, windows = Model.load(checkpoint), load_samples(samples)
+        report = evaluate(model, windows, denorm_factor=norm_factor)
+        assert row[:2] == ["5.0", repr(report.mse)]
+        assert report.mse != evaluate(model, windows).mse
+
+    def test_old_format_samples_name_the_metadata_record(
+            self, workspace, tmp_path, capsys):
+        # samples written before the metadata record held lags_horizon and
+        # starts; they are remade with make-samples, not read
+        records = archive_load(workspace["samples"])
+        old = str(tmp_path / "old.btar")
+        archive_save(old, {
+            "inputs": records["inputs"], "targets": records["targets"],
+            "starts": np.arange(len(records["inputs"]), dtype=np.float64),
+            "lags_horizon": np.array([2.0, 1.0])})
+        capsys.readouterr()
+        assert run(["eval", "--checkpoint", workspace["checkpoint"],
+                    "--samples", old, "--out", str(tmp_path / "m.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and old in err and "'metadata'" in err
+        assert not (tmp_path / "m.csv").exists()
 
     def test_samples_without_a_path_is_usage_error(self, workspace, tmp_path):
         assert run(["eval", "--checkpoint", workspace["checkpoint"],
@@ -561,7 +657,7 @@ class TestWrongInputs:
             "--samples", workspace["frames"], "--out", str(tmp_path / "out")])
         assert code == 2
         assert err.startswith("error: ") and workspace["frames"] in err
-        assert "'lags_horizon'" in err
+        assert "'inputs'" in err
 
     @pytest.mark.parametrize("command", [
         ["predict", "--out", "out.pgm"],
@@ -584,20 +680,27 @@ class TestWrongInputs:
 
     @pytest.mark.parametrize("edit", [
         lambda records: records.update(targets=records["targets"][:5]),
-        lambda records: records.update(
-            lags_horizon=np.array([2.0, 1.0, 7.0])),
         *(lambda records, window=window: records.update(targets=np.zeros(
             (len(records["inputs"]), *window), dtype=np.float32))
           for window in [(1, 1, 1, 1), (2, 16, 16, 1), (1, 8, 8, 1)]),
-        *(lambda records, values=values: records.update(
-            lags_horizon=np.array(values))
-          for values in [(2.0, np.inf), (2.0, np.nan), (2.0, -3.0), (2.0, 1.5),
-                         (2.0, 0.0), (1.0, 1.0), (3.0, 1.0)]),
-    ], ids=["five_of_thirteen_targets", "three_lags_horizon_values",
-            "one_pixel_targets", "two_frame_targets", "half_size_targets",
+        *(edit_metadata(horizon=value)
+          for value in [[1, 7], np.inf, np.nan, -3, 1.5, 0, None, True, "2"]),
+        *(edit_metadata(cadence_minutes=value)
+          for value in [np.nan, -5, 0, np.inf, "5", None]),
+        *(edit_metadata(norm_factor=value) for value in [np.nan, 0, -1, np.inf]),
+        lambda records: records.update(metadata=json_record([1.0, "a"])),
+        lambda records: records.update(
+            metadata=np.frombuffer(b'{"horizon": ', dtype=np.uint8)),
+    ], ids=["five_of_thirteen_targets", "one_pixel_targets",
+            "two_frame_targets", "half_size_targets", "list_horizon",
             "infinite_horizon", "nan_horizon", "negative_horizon",
-            "fractional_horizon", "zero_horizon", "lags_below_t",
-            "lags_above_t"])
+            "fractional_horizon", "zero_horizon", "absent_horizon",
+            "bool_horizon", "string_horizon", "nan_cadence",
+            "negative_cadence", "zero_cadence", "infinite_cadence",
+            "string_cadence", "absent_cadence", "nan_norm_factor",
+            "zero_norm_factor", "negative_norm_factor",
+            "infinite_norm_factor", "metadata_not_object",
+            "metadata_not_json"])
     def test_inconsistent_samples_archive(self, workspace, tmp_path, capsys,
                                           edit):
         records = archive_load(workspace["samples"])

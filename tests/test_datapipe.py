@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from broadunet.archive import FormatError, archive_load, archive_save
+from broadunet.archive import FormatError, archive_load, archive_save, json_record
 from broadunet.datapipe import (
     DataError,
     FrameSequence,
@@ -202,42 +202,42 @@ class TestSamplesArchive:
     @settings(max_examples=100, deadline=None)
     def test_any_window_counts_load_or_data_error(self, tmp_path_factory,
                                                   data):
-        # each field is drawn consistent half the time, so whole consistent
-        # archives and archives with one field wrong both come up often
+        # each field is drawn valid half the time, so whole valid archives
+        # and archives with one field wrong both come up often
         n_inputs = data.draw(st.integers(0, 3))
-        n_targets, n_starts = (
-            data.draw(st.one_of(st.just(n_inputs), st.integers(0, 3)))
-            for _ in range(2))
-        # lags must equal the inputs' T=2 and the horizon be a whole number
-        # of at least 1; near misses such as lags 1 or a horizon 1.5 come up
-        lags_horizon = data.draw(st.one_of(
-            st.tuples(st.just(2.0), st.integers(1, 6).map(float)),
-            st.lists(st.one_of(st.sampled_from(
-                [0.0, 1.0, 2.0, 1.5, -3.0, np.inf, np.nan]), st.floats()),
-                max_size=4)))
+        n_targets = data.draw(st.one_of(st.just(n_inputs), st.integers(0, 3)))
         target_window = data.draw(st.one_of(
             st.just((1, 4, 4, 1)),
             st.lists(st.integers(1, 4), max_size=5).map(tuple)))
+        # the horizon must be a JSON integer of at least 1, the cadence a
+        # finite positive number; near misses such as 1.5, true or "5" come
+        # up, and None leaves the key out of the metadata
+        horizon_ok, cadence_ok = (data.draw(st.booleans()) for _ in range(2))
+        horizon = data.draw(st.integers(1, 6) if horizon_ok else
+                            st.sampled_from([0, 1.5, -3, True, "2", None]))
+        cadence = data.draw(st.floats(0.5, 60.0) if cadence_ok else
+                            st.sampled_from([0, -5, np.nan, np.inf, "5", None]))
+        drawn = {"horizon": horizon, "cadence_minutes": cadence}
+        meta = {"source": "synthetic",
+                **{k: v for k, v in drawn.items() if v is not None}}
         path = tmp_path_factory.getbasetemp() / "fuzz_samples.btar"
         archive_save(path, {
             "inputs": np.zeros((n_inputs, 2, 4, 4, 1), dtype=np.float32),
             "targets": np.zeros((n_targets, *target_window), dtype=np.float32),
-            "starts": np.arange(n_starts, dtype=np.float64),
-            "lags_horizon": np.array(lags_horizon, dtype=np.float64),
+            "metadata": json_record(meta),
         })
-        lags_ok = (len(lags_horizon) == 2 and lags_horizon[0] == 2
-                   and np.isfinite(lags_horizon[1]) and lags_horizon[1] >= 1
-                   and lags_horizon[1] % 1 == 0)
-        consistent = (n_inputs == n_targets == n_starts and lags_ok
-                      and target_window == (1, 4, 4, 1))
+        consistent = (n_inputs == n_targets and target_window == (1, 4, 4, 1)
+                      and horizon_ok and cadence_ok)
         try:
             samples = load_samples(path)
         except DataError:
             assert not consistent
         else:
             assert consistent
-            assert len(samples.targets) == len(samples.starts) == len(samples)
-            assert (samples.lags, samples.horizon) == (2, lags_horizon[1])
+            assert (samples.lags, samples.horizon) == (2, horizon)
+            np.testing.assert_array_equal(samples.starts, np.arange(n_inputs))
+            assert samples.metadata == {"source": "synthetic",
+                                        "cadence_minutes": cadence}
 
 
 class TestFramesArchive:
@@ -460,6 +460,7 @@ class TestSplits:
         assert train.starts[0] == 0
         assert val.starts[0] == 20
         assert test.starts[0] == 25
+        assert train.metadata == test.metadata == {"cadence_minutes": 5}
 
     def test_split_counts_overflow(self):
         samples = self._samples()
@@ -532,11 +533,16 @@ class TestPersistenceIO:
 
     def test_samples_round_trip(self, tmp_path):
         seq = synth_advection(SynthConfig(n_frames=8, seed=8))
+        seq.metadata["norm_factor"] = 0.25
         samples = make_samples(seq, lags=3, horizon=2)
         path = tmp_path / "samples.btar"
         save_samples(path, samples)
+        assert set(archive_load(path)) == {"inputs", "targets", "metadata"}
         loaded = load_samples(path)
         np.testing.assert_array_equal(loaded.inputs, samples.inputs)
         np.testing.assert_array_equal(loaded.targets, samples.targets)
         assert (loaded.lags, loaded.horizon) == (3, 2)
+        np.testing.assert_array_equal(loaded.starts, np.arange(len(samples)))
         np.testing.assert_array_equal(loaded.starts, samples.starts)
+        assert loaded.metadata == samples.metadata == {
+            "source": "synthetic", "norm_factor": 0.25, "cadence_minutes": 5.0}
