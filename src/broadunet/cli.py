@@ -171,8 +171,11 @@ def cmd_train(args):
     history_path = os.path.join(args.out_dir, "history.csv")
     training.save_history_csv(result.history, history_path)
     best = Model.load(checkpoint)
-    report = training.evaluate(best, test_set)
-    baseline = training.evaluate(persistence_predict, test_set)
+    # test MSE in the frames' own units, as `eval` scores it
+    denorm = samples.metadata.get("norm_factor", 1.0)
+    report = training.evaluate(best, test_set, denorm_factor=denorm)
+    baseline = training.evaluate(persistence_predict, test_set,
+                                 denorm_factor=denorm)
     print(f"best epoch {result.best_epoch}: val loss {result.best_val_loss:.6g}")
     print(f"test mse {report.mse:.6g} (persistence {baseline.mse:.6g})")
     return [checkpoint, history_path], {

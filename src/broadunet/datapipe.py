@@ -261,6 +261,12 @@ def _metadata(records, path, kind) -> dict:
     return meta
 
 
+def _finite_positive(value) -> bool:
+    """Whether a metadata value is a finite positive JSON number; a JSON
+    true loads as a bool, which is an int but no number here."""
+    return type(value) in (int, float) and 0 < value < np.inf
+
+
 def load_frames(path) -> FrameSequence:
     return frames_from_records(archive_load(path), path)
 
@@ -276,6 +282,10 @@ def frames_from_records(records, path) -> FrameSequence:
             f"{frames.shape} and {cadence.size} cadence_minutes value(s), "
             f"starting {cadence.ravel()[:3].tolist()}")
     meta = _metadata(records, path, "frames") if "metadata" in records else {}
+    if not _finite_positive(meta.get("norm_factor", 1.0)):
+        raise DataError(
+            f"frames archive {path} needs a finite positive norm_factor (if "
+            f"any) in its metadata; it holds {meta['norm_factor']!r}")
     return FrameSequence(frames, float(cadence.item()), metadata=meta)
 
 
@@ -301,9 +311,8 @@ def load_samples(path) -> SampleSet:
     meta = _metadata(records, path, "samples")
     horizon, cadence = meta.pop("horizon", None), meta.get("cadence_minutes")
     norm = meta.get("norm_factor", 1.0)
-    # a JSON true loads as a bool, which is an int but no number here
-    if not (type(horizon) is int and horizon >= 1 and all(
-            type(v) in (int, float) and 0 < v < np.inf for v in (cadence, norm))):
+    if not (type(horizon) is int and horizon >= 1
+            and _finite_positive(cadence) and _finite_positive(norm)):
         raise DataError(
             f"samples archive {path} needs a whole horizon >= 1 and a finite "
             f"positive cadence_minutes and norm_factor (if any) in its metadata"

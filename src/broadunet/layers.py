@@ -188,11 +188,28 @@ def _tap_plan(spec: ConvSpec, in_thw: tuple) -> _TapPlan:
     return _TapPlan(taps, tuple(pads), padded_thw, out_thw, span, blocks)
 
 
+def _pad(x, plan: _TapPlan):
+    """Contiguous `x` zero-padded to the plan's grid; `x` itself when the
+    plan pads nothing."""
+    if plan.padded_thw == x.shape[:3]:
+        return x
+    xp = np.zeros((*plan.padded_thw, x.shape[3]), dtype=x.dtype)
+    (pt, _), (ph, _), (pw, _) = plan.pads
+    t, h, w, _ = x.shape
+    xp[pt:pt + t, ph:ph + h, pw:pw + w] = x
+    return xp
+
+
 @dataclass
 class ConvTape:
-    """Forward activations cached for the matching backward call."""
+    """Forward activations cached for the matching backward call.
 
-    padded: np.ndarray
+    The tape references the conv's own contiguous input, so sibling convs
+    on one input share one array; backward pads it again. Nothing may
+    write into a training forward's input before its backward.
+    """
+
+    padded: np.ndarray  # the unpadded input; perfbench/tracer.py reads this name
     weights: np.ndarray
     spec: ConvSpec
     in_shape: tuple
@@ -211,15 +228,9 @@ def conv3d_forward(x, weights, bias, spec: ConvSpec):
         raise ValueError(f"expected {spec.in_channels} input channels, got {x.shape[3]}")
     if weights.shape != spec.weight_shape():
         raise ValueError(f"weights shape {weights.shape} != {spec.weight_shape()}")
+    x = np.ascontiguousarray(x)
     plan = _tap_plan(spec, x.shape[:3])
-    if plan.padded_thw != x.shape[:3]:
-        xp = np.zeros((*plan.padded_thw, spec.in_channels), dtype=x.dtype)
-        (pt, _), (ph, _), (pw, _) = plan.pads
-        t, h, w, _ = x.shape
-        xp[pt:pt + t, ph:ph + h, pw:pw + w] = x
-    else:
-        xp = np.ascontiguousarray(x)
-    rows = xp.reshape(-1, spec.in_channels)
+    rows = _pad(x, plan).reshape(-1, spec.in_channels)
     to, ho, wo = plan.out_thw
     _, hp, wp = plan.padded_thw
     grid = np.empty((to * hp * wp, spec.out_channels), dtype=x.dtype)
@@ -239,7 +250,7 @@ def conv3d_forward(x, weights, bias, spec: ConvSpec):
         y = np.ascontiguousarray(y[:, :ho, :wo])
     if bias is not None:
         _add_bias(y, bias)
-    tape = ConvTape(xp, weights, spec, x.shape, y.shape)
+    tape = ConvTape(x, weights, spec, x.shape, y.shape)
     return y, tape
 
 
@@ -258,7 +269,8 @@ def conv3d_backward(tape: ConvTape, grad_out):
     else:
         grid = np.ascontiguousarray(grad_out)
     g = grid.reshape(-1, spec.out_channels)[:plan.span]
-    rows = tape.padded.reshape(-1, spec.in_channels)
+    xp = _pad(tape.padded, plan)
+    rows = xp.reshape(-1, spec.in_channels)
     grad_w = np.zeros(tape.weights.shape, dtype=tape.weights.dtype)
     if len(plan.taps) == 1 and plan.span == len(rows):
         # a lone tap over the whole grid (pointwise): nothing to accumulate
@@ -276,7 +288,7 @@ def conv3d_backward(tape: ConvTape, grad_out):
                 else:
                     grad_w[tap] += rows[window].T @ part
                 grad_rows[window] += part @ tape.weights[tap].T
-    grad_x = grad_rows.reshape(tape.padded.shape)
+    grad_x = grad_rows.reshape(xp.shape)
     if plan.padded_thw != tape.in_shape[:3]:
         (pt, _), (ph, _), (pw, _) = plan.pads
         t, h, w, _ = tape.in_shape

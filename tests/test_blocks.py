@@ -25,6 +25,11 @@ def conv_specs_of(layer):
     return [(n, l.spec) for n, l in layer.walk() if isinstance(l, Conv3D)]
 
 
+def first_conv(layer):
+    """The conv that reads a `conv_unit`'s input."""
+    return layer if isinstance(layer, Conv3D) else layer.layers[0]
+
+
 class TestMultiScaleBlock:
     def test_output_shape(self):
         block = init_layer(MultiScaleBlock(
@@ -139,6 +144,25 @@ class TestMultiScaleBlock:
         with pytest.raises(ValueError):
             MultiScaleBlock(0, 4)
 
+    def test_sibling_convs_tape_one_array(self, monkeypatch):
+        block = init_layer(MultiScaleBlock(2, 3, factorized=True,
+                                           time_extent=2))
+        assert isinstance(block.project, Conv3D)
+        outs, initial_forward = [], block.initial.forward
+
+        def recording(x, train=False, rng=None):
+            outs.append(initial_forward(x, train=train, rng=rng))
+            return outs[-1]
+
+        monkeypatch.setattr(block.initial, "forward", recording)
+        x = np.random.default_rng(14).standard_normal((2, 6, 6, 2))
+        block.forward(x, train=True)
+        assert first_conv(block.initial)._tape.padded is x
+        assert block.project._tape.padded is x
+        h, = outs
+        for _, branch in block.branches.children():
+            assert first_conv(branch)._tape.padded is h
+
 
 class TestAspp:
     def test_default_branch_count(self):
@@ -178,6 +202,15 @@ class TestAspp:
         aspp = Aspp(2, 2)
         report = grad_check(aspp, in_shape=(2, 19, 19, 2), tol=1e-4, seed=29)
         assert report.passed, report
+
+    def test_pointwise_and_dilated_branches_tape_one_array(self):
+        aspp = init_layer(Aspp(2, 3))
+        # at 19x19 every rate reads padding, as in the gradient check
+        x = np.random.default_rng(15).standard_normal((2, 19, 19, 2))
+        aspp.forward(x, train=True)
+        branches = dict(aspp.branches.children())
+        for name in ["pointwise", *(f"dilated{d}" for d in ASPP_RATES)]:
+            assert branches[name]._tape.padded is x
 
     def test_param_count_matches_closed_form(self):
         aspp = Aspp(3, 4)

@@ -13,7 +13,7 @@ from broadunet import datapipe
 from broadunet.archive import archive_load, archive_save, json_record
 from broadunet.cli import EVAL_COLUMNS, run
 from broadunet.datapipe import load_frames, load_samples
-from broadunet.model import ARCHS, Model, ModelConfig
+from broadunet.model import ARCHS, Model, ModelConfig, persistence_predict
 from broadunet.pgm import read_pgm
 from broadunet.training import evaluate
 
@@ -62,8 +62,8 @@ def horizon_samples(workspace, folder, horizons=(1, 2)):
 
 
 def edit_metadata(**changes):
-    """An edit of a samples archive's records that sets keys of its
-    metadata; a None value drops the key."""
+    """An edit of an archive's records that sets keys of its metadata; a
+    None value drops the key."""
     def edit(records):
         meta = {**json.loads(bytes(records["metadata"])), **changes}
         records["metadata"] = json_record(
@@ -363,6 +363,31 @@ class TestTrain:
         assert code == 3
         assert err.startswith("error: training diverged in epoch 1")
         assert "RuntimeWarning" not in err
+
+    def test_precip_test_mse_is_denormalized(self, tmp_path):
+        raw, clean = str(tmp_path / "raw.btar"), str(tmp_path / "clean.btar")
+        samples, run_dir = str(tmp_path / "s.btar"), tmp_path / "run"
+        assert run(["synth-gen", "--out", raw, "--h", "765", "--w", "700",
+                    "--frames", "4", "--sigma", "40"]) == 0
+        assert run(["preprocess", "--task", "precip", "--frames", raw,
+                    "--out", clean]) == 0
+        assert run(["make-samples", "--frames", clean, "--lags", "1",
+                    "--out", samples]) == 0
+        assert run(["train", "--samples", samples, "--arch", "unet",
+                    "--f0", "1", "--train-n", "1", "--val-n", "1",
+                    "--test-n", "1", "--epochs", "1",
+                    "--out-dir", str(run_dir)]) == 0
+        manifest = json.loads((run_dir / "run-manifest.json").read_text())
+        windows = load_samples(samples)
+        norm_factor = windows.metadata["norm_factor"]
+        assert norm_factor != 1.0
+        best = Model.load(str(run_dir / "checkpoint.btar"))
+        test_set = windows.subset(np.s_[2:3])
+        for key, predictor in [("test_mse", best),
+                               ("persistence_test_mse", persistence_predict)]:
+            report = evaluate(predictor, test_set, denorm_factor=norm_factor)
+            assert manifest[key] == report.mse, key
+            assert manifest[key] != evaluate(predictor, test_set).mse, key
 
     def test_different_seed_changes_history(self, tmp_path):
         out = []
@@ -724,9 +749,13 @@ class TestWrongInputs:
         lambda records: records.update(
             metadata=np.frombuffer(b'{"source": ', dtype=np.uint8)),
         lambda records: records.update(metadata=json_record([1.0, "a"])),
+        *(edit_metadata(norm_factor=value)
+          for value in [0, -1, np.nan, np.inf, "1"]),
     ], ids=["empty_cadence", "nan_cadence", "negative_cadence",
             "rank3_frames", "metadata_not_utf8", "metadata_not_json",
-            "metadata_not_object"])
+            "metadata_not_object", "zero_norm_factor",
+            "negative_norm_factor", "nan_norm_factor",
+            "infinite_norm_factor", "string_norm_factor"])
     def test_bad_frames_archive(self, workspace, tmp_path, capsys, edit):
         records = archive_load(workspace["frames"])
         edit(records)

@@ -147,6 +147,39 @@ class TestConvForward:
         np.testing.assert_array_equal(y1, y2)
 
 
+class TestConvTapeInput:
+    """A conv tape references the conv's own contiguous input, unpadded;
+    backward pads it again."""
+
+    @pytest.mark.parametrize("spec", [
+        ConvSpec((1, 3, 3), 2, 3),
+        ConvSpec((3, 1, 1), 2, 3),
+        ConvSpec((1, 3, 3), 2, 3, dilation=(1, 2, 2)),
+        ConvSpec((2, 3, 3), 2, 3, padding="valid"),
+    ], ids=["spatial", "temporal", "dilated", "valid"])
+    def test_tape_is_the_input(self, spec):
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((3, 6, 6, 2))
+        _, tape = conv3d_forward(x, rng.standard_normal(spec.weight_shape()),
+                                 None, spec)
+        assert tape.padded is x
+
+    def test_strided_input_is_taped_as_a_contiguous_copy(self):
+        spec = ConvSpec((1, 3, 3), 2, 3)
+        rng = np.random.default_rng(13)
+        w = rng.standard_normal(spec.weight_shape())
+        x = rng.standard_normal((3, 12, 6, 2))[:, ::2]
+        y, tape = conv3d_forward(x, w, None, spec)
+        assert tape.padded.flags.c_contiguous
+        assert tape.padded.tobytes() == x.tobytes()
+        want_y, want_tape = conv3d_forward(x.copy(), w, None, spec)
+        assert y.tobytes() == want_y.tobytes()
+        g = rng.standard_normal(y.shape)
+        for got, want in zip(conv3d_backward(tape, g)[:2],
+                             conv3d_backward(want_tape, g)[:2]):
+            assert got.tobytes() == want.tobytes()
+
+
 class TestConvBackward:
     def test_scalar_case(self):
         x = np.array([[[[3.0]]]])

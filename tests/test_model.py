@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from broadunet import archive
+from broadunet import archive, layers as layers_module
 from broadunet import model as model_module
 from broadunet.archive import FormatError
 from broadunet.layers import Conv3D, Dropout, Layer, MaxPoolSpatial, Parallel
@@ -20,6 +20,7 @@ from broadunet.model import (
     persistence_predict,
 )
 from broadunet.tensor import ShapeError
+from broadunet.training import loss_mse
 
 from conftest import closed_form_conv_params, zero_all_params
 
@@ -270,6 +271,37 @@ class TestTapeFreeInference:
         assert len(first) == len(second)
         for a, b in zip(first, second):
             assert a.tobytes() == b.tobytes()
+
+
+class TestConvTapesKeepTheirInputs:
+    """A conv tape references its input, so no later forward may write into
+    an array a tape holds."""
+
+    def test_training_forward_writes_into_no_taped_input(self, monkeypatch):
+        calls, conv_forward = {}, layers_module.conv3d_forward
+
+        def recording(x, weights, bias, spec):
+            before = np.array(x, copy=True)
+            y, tape = conv_forward(x, weights, bias, spec)
+            calls[id(tape)] = (tape, before)
+            return y, tape
+
+        monkeypatch.setattr(layers_module, "conv3d_forward", recording)
+        model = build_broad_unet(mini_config()).initialize(seed=11)
+        assert any(isinstance(layer, Dropout)
+                   for _, layer in model.root.walk())
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((2, 16, 16, 1)).astype(np.float32)
+        t = rng.random((1, 16, 16, 1), dtype=np.float32)
+        y = model.forward(x, train=True, rng=np.random.default_rng(12))
+        loss_mse(y, t)
+        convs = [(name, layer) for name, layer in model.root.walk()
+                 if isinstance(layer, Conv3D)]
+        assert len(calls) == len(convs)
+        for name, conv in convs:
+            tape, before = calls[id(conv._tape)]
+            assert tape is conv._tape, name
+            assert tape.padded.tobytes() == before.tobytes(), name
 
 
 class TestPersistence:
