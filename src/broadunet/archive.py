@@ -10,6 +10,7 @@ dtype codes: 1 = f32, 2 = f64, 3 = u8. Round trips are bit-exact.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -35,9 +36,24 @@ def _dtype_code(arr: np.ndarray) -> int:
     return code
 
 
+@contextlib.contextmanager
+def atomic_write(path, mode="wb", **open_kwargs):
+    """A file that becomes `path` whole when the block ends, or not at all:
+    it is written as `<path>.tmp` beside it, which any exception removes."""
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, mode, **open_kwargs) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def archive_save(path, records: dict) -> None:
     """Write named arrays to `path`. Names must be unique (dict guarantees it)."""
-    with open(path, "wb") as f:
+    with atomic_write(path) as f:
         f.write(MAGIC)
         f.write(struct.pack("<II", VERSION, len(records)))
         for name, arr in records.items():

@@ -1,7 +1,8 @@
 """Command-line surface: synthesize, preprocess, train, evaluate, inspect.
 
 Exit codes: 0 success, 1 usage error, 2 data/format error, 3 numeric failure
-(a failed gradient check or a diverging training run). `run` writes a JSON
+(a failed gradient check, a diverging training run or a non-finite model
+output). `run` writes a JSON
 run manifest next to the outputs of every subcommand that writes any, with
 the configuration, seed, wall time, peak RSS and artifact checksums.
 """
@@ -19,7 +20,7 @@ import time
 import numpy as np
 
 from . import datapipe, pgm, training
-from .archive import FormatError
+from .archive import FormatError, atomic_write
 from .datapipe import DataError, SynthConfig
 from .layers import (
     Activation,
@@ -66,11 +67,8 @@ def _write_run_manifest(args, outputs, extra, wall_time):
     }
     directory = getattr(args, "out_dir", None) or os.path.dirname(args.out)
     path = os.path.join(directory or ".", "run-manifest.json")
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
-    os.replace(tmp, path)
+    with atomic_write(path, "w", encoding="utf-8") as f:
+        f.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return path
 
 
@@ -85,6 +83,15 @@ def _load_model(checkpoint, samples, samples_path, last=(None, None)):
             f"{samples.inputs.shape[1:]}, but checkpoint {checkpoint} "
             f"takes {model.input_shape()}")
     return model
+
+
+def _finite(out, checkpoint, samples_path):
+    """`out`, a model output, which must be finite: NaN or inf is a numeric
+    failure, raised before anything is written."""
+    if not np.isfinite(out).all():
+        raise FloatingPointError(f"checkpoint {checkpoint} gives non-finite "
+                                 f"values on {samples_path}")
+    return out
 
 
 def _window(samples, index):
@@ -160,6 +167,8 @@ def cmd_train(args):
     _, lags, h, w, f = train_set.inputs.shape
     # the manifest records the values the samples set, not ignored flags
     args.lags, args.horizon, args.hw = lags, samples.horizon, h if h == w else None
+    if args.samples:
+        args.task = None
     head = "binary" if args.loss == "bce" else "regression"
     cfg = ModelConfig(lags=lags, height=h, width=w, features=f,
                       base_filters=args.f0, factorized=args.factorized,
@@ -192,10 +201,11 @@ def cmd_eval(args):
         meta = samples.metadata
         checkpoint = args.checkpoint.replace("{h}", str(samples.horizon))
         last = checkpoint, _load_model(checkpoint, samples, path, last)
-        report = training.evaluate(last[1], samples, args.threshold,
-                                   meta.get("norm_factor", 1.0))
+        report = training.evaluate(
+            lambda x: _finite(last[1].predict(x), checkpoint, path), samples,
+            args.threshold, meta.get("norm_factor", 1.0))
         rows.append((samples.horizon * float(meta["cadence_minutes"]), report))
-    with open(args.out, "w", newline="\n") as f:
+    with atomic_write(args.out, "w", newline="\n") as f:
         f.write(EVAL_COLUMNS + "\n")
         for minutes, r in rows:
             f.write(f"{minutes!r},{r.mse!r},{r.mse_binarized!r},"
@@ -207,7 +217,8 @@ def cmd_eval(args):
 def cmd_predict(args):
     samples = datapipe.load_samples(args.samples)
     model = _load_model(args.checkpoint, samples, args.samples)
-    y = model.predict(_window(samples, args.index))
+    y = _finite(model.predict(_window(samples, args.index)), args.checkpoint,
+                args.samples)
     lo, hi = pgm.write_pgm(args.out, y[0, :, :, 0])
     print(f"prediction image -> {args.out} (scale {lo:.6g}..{hi:.6g})")
     return [args.out], {"pgm_scale": {"lo": lo, "hi": hi}}
@@ -272,6 +283,8 @@ def cmd_dump_features(args):
     samples = datapipe.load_samples(args.samples)
     model = _load_model(args.checkpoint, samples, args.samples)
     maps = dump_feature_maps(model, _window(samples, args.index), args.block)
+    for _, arr in maps:
+        _finite(arr, args.checkpoint, args.samples)
     os.makedirs(args.out_dir, exist_ok=True)
     outputs = [os.path.join(args.out_dir, f"block{args.block}_features.btar")]
     datapipe.archive_save(outputs[0], dict(maps))

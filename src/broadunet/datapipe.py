@@ -281,6 +281,10 @@ def frames_from_records(records, path) -> FrameSequence:
             f"positive cadence_minutes value; it holds frames of shape "
             f"{frames.shape} and {cadence.size} cadence_minutes value(s), "
             f"starting {cadence.ravel()[:3].tolist()}")
+    finite = np.isfinite(frames).all(axis=(1, 2, 3))
+    if not finite.all():
+        raise DataError(f"frames archive {path} holds non-finite values, "
+                        f"first in frame {int(np.argmin(finite))}")
     meta = _metadata(records, path, "frames") if "metadata" in records else {}
     if not _finite_positive(meta.get("norm_factor", 1.0)):
         raise DataError(

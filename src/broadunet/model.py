@@ -9,7 +9,6 @@ runs on 2D data. Input (T, H, W, F) maps to output (1, H, W, F).
 from __future__ import annotations
 
 import functools
-import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -265,11 +264,7 @@ class Model:
             "param_names": list(params.keys()),
         }
         records = {"__manifest__": json_record(manifest), **params}
-        # write beside the target and swap in, so a kill mid-write leaves
-        # the previous checkpoint intact
-        tmp = os.fspath(path) + ".tmp"
-        archive_save(tmp, records)
-        os.replace(tmp, path)
+        archive_save(path, records)
 
     @classmethod
     def load(cls, path) -> "Model":

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .archive import atomic_write
+
 
 def write_pgm(path, img: np.ndarray):
     """Write a 2D array as P5, min-max scaled to 0..255.
@@ -21,7 +23,7 @@ def write_pgm(path, img: np.ndarray):
     else:
         scaled = np.zeros_like(img)
     h, w = img.shape
-    with open(path, "wb") as f:
+    with atomic_write(path) as f:
         f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
         f.write(scaled.astype(np.uint8).tobytes())
     return lo, hi

@@ -9,6 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .archive import atomic_write
+
 BCE_EPS = 1e-7
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
@@ -170,7 +172,7 @@ def train(model, train_set, val_set, cfg: TrainConfig) -> TrainResult:
 
 def save_history_csv(history, path) -> None:
     """History file: `epoch,train_loss,val_loss`, one row per epoch."""
-    with open(path, "w", newline="\n") as f:
+    with atomic_write(path, "w", newline="\n") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(["epoch", "train_loss", "val_loss"])
         for epoch, train_loss, val_loss in history:

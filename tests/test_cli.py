@@ -1,3 +1,4 @@
+import builtins
 import hashlib
 import json
 import os
@@ -14,8 +15,8 @@ from broadunet.archive import archive_load, archive_save, json_record
 from broadunet.cli import EVAL_COLUMNS, run
 from broadunet.datapipe import load_frames, load_samples
 from broadunet.model import ARCHS, Model, ModelConfig, persistence_predict
-from broadunet.pgm import read_pgm
-from broadunet.training import evaluate
+from broadunet.pgm import read_pgm, write_pgm
+from broadunet.training import evaluate, save_history_csv
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +70,19 @@ def edit_metadata(**changes):
         records["metadata"] = json_record(
             {k: v for k, v in meta.items() if v is not None})
     return edit
+
+
+def nan_checkpoint(workspace, path):
+    """`path`, a copy of the workspace checkpoint with every weight NaN."""
+    records = archive_load(workspace["checkpoint"])
+    archive_save(path, {name: arr if name == "__manifest__"
+                        else np.full_like(arr, np.nan)
+                        for name, arr in records.items()})
+    return path
+
+
+def error_lines(err):
+    return [line for line in err.splitlines() if "error:" in line]
 
 
 @pytest.fixture(scope="module")
@@ -318,6 +332,22 @@ class TestTrain:
                     "--epochs", "1", "--out-dir", str(run_dir)]) == 0
         config = json.loads((run_dir / "run-manifest.json").read_text())["config"]
         assert (config["lags"], config["horizon"], config["hw"]) == (4, 1, hw)
+
+    @pytest.mark.parametrize("given", ["samples", "synth"])
+    def test_manifest_records_the_task_it_ran(self, workspace, tmp_path,
+                                              given):
+        # a samples file fixes the data, so --task (default synth) is ignored
+        if given == "samples":
+            run_dir = workspace["run_dir"]
+        else:
+            run_dir = str(tmp_path / "run")
+            assert run(["train", "--hw", "16", "--f0", "1", "--lags", "2",
+                        "--train-n", "2", "--val-n", "1", "--test-n", "1",
+                        "--epochs", "1", "--out-dir", run_dir]) == 0
+        manifest = json.loads(
+            open(os.path.join(run_dir, "run-manifest.json")).read())
+        assert manifest["config"]["task"] == (None if given == "samples"
+                                              else "synth")
 
     def test_checkpoint_loads_and_predicts(self, workspace):
         model = Model.load(workspace["checkpoint"])
@@ -751,11 +781,14 @@ class TestWrongInputs:
         lambda records: records.update(metadata=json_record([1.0, "a"])),
         *(edit_metadata(norm_factor=value)
           for value in [0, -1, np.nan, np.inf, "1"]),
+        *(lambda records, value=value: records["frames"].__setitem__(
+            (4, 7, 2, 0), value) for value in [np.nan, np.inf, -np.inf]),
     ], ids=["empty_cadence", "nan_cadence", "negative_cadence",
             "rank3_frames", "metadata_not_utf8", "metadata_not_json",
             "metadata_not_object", "zero_norm_factor",
             "negative_norm_factor", "nan_norm_factor",
-            "infinite_norm_factor", "string_norm_factor"])
+            "infinite_norm_factor", "string_norm_factor", "nan_pixel",
+            "infinite_pixel", "negative_infinite_pixel"])
     def test_bad_frames_archive(self, workspace, tmp_path, capsys, edit):
         records = archive_load(workspace["frames"])
         edit(records)
@@ -767,6 +800,24 @@ class TestWrongInputs:
         assert code == 2
         assert err.startswith("error: ") and bad in err
         assert not (tmp_path / "s.btar").exists()
+
+    @pytest.mark.parametrize("command", [
+        ["make-samples", "--lags", "2"],
+        ["preprocess", "--task", "precip"],
+    ], ids=["make-samples", "preprocess"])
+    def test_non_finite_frame_is_named(self, workspace, tmp_path, capsys,
+                                       command):
+        records = archive_load(workspace["frames"])
+        records["frames"][9, 3, 3, 0] = np.nan
+        records["frames"][11] = np.inf
+        bad = str(tmp_path / "nan_frames.btar")
+        archive_save(bad, records)
+        code, err = self._run(capsys, [*command, "--frames", bad,
+                                       "--out", str(tmp_path / "out.btar")])
+        assert code == 2
+        assert err.startswith(f"error: frames archive {bad} holds non-finite "
+                              f"values, first in frame 9")
+        assert not (tmp_path / "out.btar").exists()
 
     @pytest.mark.parametrize("recorded", [True, False],
                              ids=["recorded_rates", "names_only"])
@@ -857,3 +908,242 @@ class TestDumpFeatures:
         assert run(["dump-features", "--checkpoint", workspace["checkpoint"],
                     "--samples", workspace["samples"], "--block", "42",
                     "--out-dir", str(tmp_path / "f")]) == 1
+
+
+class TestNonFiniteOutputs:
+    """A checkpoint that gives NaN exits 3, naming it, before any write."""
+
+    @pytest.mark.parametrize("command", [
+        ["predict", "--out", "x.pgm"],
+        ["eval", "--out", "m.csv"],
+        ["dump-features", "--out-dir", "feat"],
+    ], ids=["predict", "eval", "dump-features"])
+    def test_nan_checkpoint_is_numeric_error(self, workspace, tmp_path, capsys,
+                                             command):
+        bad = nan_checkpoint(workspace, str(tmp_path / "nan.btar"))
+        capsys.readouterr()
+        assert run([command[0], "--checkpoint", bad,
+                    "--samples", workspace["samples"],
+                    command[1], str(tmp_path / command[2])]) == 3
+        err = capsys.readouterr().err
+        assert err == (f"error: checkpoint {bad} gives non-finite values on "
+                       f"{workspace['samples']}\n")
+        assert sorted(os.listdir(tmp_path)) == ["nan.btar"]
+
+
+class Interrupted(BaseException):
+    """A kill that lands mid-write: no `except Exception` handler stops it."""
+
+
+class InterruptingFile:
+    """A file whose first write lands, and then the process is killed."""
+
+    def __init__(self, f):
+        self._f = f
+
+    def write(self, data):
+        self._f.write(data)
+        raise Interrupted
+
+    def __getattr__(self, name):
+        return getattr(self._f, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._f.close()
+
+
+def interrupt_writes_to(monkeypatch, target):
+    """Make every write-mode `open` of `target`, or of `<target>.tmp`,
+    return an InterruptingFile; other opens are left alone."""
+    real_open = builtins.open
+
+    def interrupting_open(file, mode="r", *args, **kwargs):
+        f = real_open(file, mode, *args, **kwargs)
+        hit = (isinstance(file, (str, os.PathLike))
+               and os.fspath(file) in (target, target + ".tmp")
+               and not set(mode).isdisjoint("wax+"))
+        return InterruptingFile(f) if hit else f
+
+    monkeypatch.setattr(builtins, "open", interrupting_open)
+
+
+def run_ok(argv):
+    assert run(argv) == 0, argv
+
+
+def _predict_beside(workspace, target):
+    """`predict`, whose run manifest is `target`."""
+    run_ok(["predict", "--checkpoint", workspace["checkpoint"],
+            "--samples", workspace["samples"],
+            "--out", os.path.join(os.path.dirname(target), "p.pgm")])
+
+
+# writer name: (its call on the workspace and a target path, the target's
+# file name)
+ARTIFACT_WRITERS = {
+    "archive_save": (lambda ws, target: archive_save(
+        target, {"a": np.arange(6, dtype=np.float32)}), "a.btar"),
+    "model_save": (lambda ws, target: Model.load(ws["checkpoint"]).save(
+        target), "checkpoint.btar"),
+    "write_pgm": (lambda ws, target: write_pgm(target, np.eye(4)), "a.pgm"),
+    "save_history_csv": (lambda ws, target: save_history_csv(
+        [(1, 0.5, 0.25)], target), "history.csv"),
+    "eval_csv": (lambda ws, target: run_ok([
+        "eval", "--checkpoint", ws["checkpoint"], "--samples", ws["samples"],
+        "--out", target]), "metrics.csv"),
+    "run_manifest": (_predict_beside, "run-manifest.json"),
+}
+
+
+class TestAtomicWrites:
+    """Every artifact reaches disk whole or not at all."""
+
+    OLD = b"old bytes\n"
+
+    @pytest.mark.parametrize("existing", [True, False],
+                             ids=["existing", "absent"])
+    @pytest.mark.parametrize("writer", sorted(ARTIFACT_WRITERS))
+    def test_interrupted_write_keeps_the_target(
+            self, workspace, tmp_path, monkeypatch, writer, existing):
+        write, name = ARTIFACT_WRITERS[writer]
+        target = str(tmp_path / name)
+        if existing:
+            with open(target, "wb") as f:
+                f.write(self.OLD)
+        interrupt_writes_to(monkeypatch, target)
+        with pytest.raises(Interrupted):
+            write(workspace, target)
+        monkeypatch.undo()
+        if existing:
+            assert open(target, "rb").read() == self.OLD
+        else:
+            assert not os.path.exists(target)
+        assert not os.path.exists(target + ".tmp")
+
+    @pytest.mark.parametrize("writer", sorted(ARTIFACT_WRITERS))
+    def test_write_replaces_the_target(self, workspace, tmp_path, writer):
+        write, name = ARTIFACT_WRITERS[writer]
+        target = str(tmp_path / name)
+        with open(target, "wb") as f:
+            f.write(self.OLD)
+        write(workspace, target)
+        assert open(target, "rb").read() not in (b"", self.OLD)
+        assert not os.path.exists(target + ".tmp")
+
+    def test_unsupported_record_keeps_the_old_archive(self, tmp_path):
+        # the int64 record fails after the f32 one has been written
+        path = tmp_path / "a.btar"
+        archive_save(path, {"a": np.arange(3, dtype=np.float32)})
+        old = path.read_bytes()
+        with pytest.raises(ValueError, match="unsupported dtype"):
+            archive_save(path, {"b": np.zeros(1000, dtype=np.float32),
+                                "c": np.zeros(1, dtype=np.int64)})
+        assert path.read_bytes() == old
+        assert os.listdir(tmp_path) == ["a.btar"]
+
+
+@pytest.fixture(scope="module")
+def faulty_inputs(workspace, raw_radar, tmp_path_factory):
+    """Inputs of each fault, beside good ones; `{out}` is the case's own
+    output directory."""
+    root = tmp_path_factory.mktemp("faults")
+    paths = {"frames": workspace["frames"], "samples": workspace["samples"],
+             "checkpoint": workspace["checkpoint"], "raw": raw_radar}
+    for kind in ("frames", "samples", "checkpoint"):
+        blob = open(paths[kind], "rb").read()
+        paths[f"truncated_{kind}"] = str(root / f"truncated_{kind}.btar")
+        with open(paths[f"truncated_{kind}"], "wb") as f:
+            f.write(blob[:len(blob) // 2])
+    records = archive_load(workspace["frames"])
+    records["frames"][5, 8, 8, 0] = np.nan
+    paths["nan_frames"] = str(root / "nan_frames.btar")
+    archive_save(paths["nan_frames"], records)
+    records = archive_load(workspace["samples"])
+    records["inputs"][0] = np.nan
+    paths["nan_samples"] = str(root / "nan_samples.btar")
+    archive_save(paths["nan_samples"], records)
+    paths["nan_checkpoint"] = nan_checkpoint(
+        workspace, str(root / "nan_checkpoint.btar"))
+    return root, paths
+
+
+_TRAIN = ["train", "--f0", "1", "--train-n", "4", "--val-n", "2",
+          "--test-n", "2", "--epochs", "1", "--out-dir", "{out}/run"]
+_PRECIP = ["preprocess", "--task", "precip", "--rain-fraction", "0.1"]
+
+
+def _model_command(command, flag, out, fault):
+    """(fault, argv, exit code) of `eval`, `predict` or `dump-features`
+    under one fault of its checkpoint, samples or output directory."""
+    checkpoint = {"truncated_checkpoint": "{truncated_checkpoint}",
+                  "nan_checkpoint": "{nan_checkpoint}"}.get(
+                      fault, "{checkpoint}")
+    samples = {"truncated_input": "{truncated_samples}",
+               "nan_payload": "{nan_samples}"}.get(fault, "{samples}")
+    if fault == "missing_dir":
+        out = out.replace("{out}", "{out}/absent")
+    return (fault, [command, "--checkpoint", checkpoint, "--samples", samples,
+                    flag, out], 3 if fault.startswith("nan") else 2)
+
+
+FAULT_MATRIX = [
+    ("missing_dir", ["synth-gen", "--out", "{out}/absent/f.btar"], 2),
+    ("nan_payload", ["synth-gen", "--out", "{out}/f.btar", "--sigma", "nan"],
+     1),
+    ("missing_dir", [*_PRECIP, "--frames", "{raw}",
+                     "--out", "{out}/absent/c.btar"], 2),
+    ("truncated_input", [*_PRECIP, "--frames", "{truncated_frames}",
+                         "--out", "{out}/c.btar"], 2),
+    ("nan_payload", [*_PRECIP, "--frames", "{nan_frames}",
+                     "--out", "{out}/c.btar"], 2),
+    *((fault, ["make-samples", "--frames", frames, "--lags", "2",
+               "--out", out], 2)
+      for fault, frames, out in [
+          ("missing_dir", "{frames}", "{out}/absent/s.btar"),
+          ("truncated_input", "{truncated_frames}", "{out}/s.btar"),
+          ("nan_payload", "{nan_frames}", "{out}/s.btar")]),
+    # train makes its --out-dir, so a missing one is no fault
+    ("truncated_input", [*_TRAIN, "--samples", "{truncated_samples}"], 2),
+    ("nan_payload", [*_TRAIN, "--samples", "{nan_samples}"], 3),
+    # dump-features makes its --out-dir, so a missing one is no fault
+    *(_model_command(command, flag, out, fault)
+      for command, flag, out, faults in [
+          ("eval", "--out", "{out}/m.csv", ["missing_dir"]),
+          ("predict", "--out", "{out}/p.pgm", ["missing_dir"]),
+          ("dump-features", "--out-dir", "{out}/feat", [])]
+      for fault in [*faults, "truncated_input", "truncated_checkpoint",
+                    "nan_payload", "nan_checkpoint"]),
+]
+
+
+def _files(*roots):
+    """Every file under `roots`, with its bytes' digest."""
+    return {os.path.join(d, name): hashlib.sha256(
+                open(os.path.join(d, name), "rb").read()).hexdigest()
+            for root in roots for d, _, names in os.walk(root)
+            for name in names}
+
+
+class TestFaultMatrix:
+    """Each artifact-writing subcommand under each fault that applies to
+    it exits 1, 2 or 3 with one error line, and writes nothing."""
+
+    @pytest.mark.parametrize(
+        "fault,argv,code", FAULT_MATRIX,
+        ids=[f"{argv[0]}-{fault}" for fault, argv, _ in FAULT_MATRIX])
+    def test_fault_exits_with_one_error_and_writes_nothing(
+            self, faulty_inputs, tmp_path, capsys, fault, argv, code):
+        root, paths = faulty_inputs
+        argv = [arg.format(out=tmp_path, **paths) for arg in argv]
+        if "missing_dir" in fault:
+            assert not os.path.exists(tmp_path / "absent")
+        before = _files(root, tmp_path)
+        capsys.readouterr()
+        assert run(argv) == code
+        out, err = capsys.readouterr()
+        assert len(error_lines(err)) == 1, err
+        assert "Traceback" not in out + err
+        assert _files(root, tmp_path) == before
