@@ -39,15 +39,18 @@ def _dtype_code(arr: np.ndarray) -> int:
 @contextlib.contextmanager
 def atomic_write(path, mode="wb", **open_kwargs):
     """A file that becomes `path` whole when the block ends, or not at all:
-    it is written as `<path>.tmp` beside it, which any exception removes."""
+    it is written as `<path>.tmp` beside it, which any exception removes.
+    An OSError about the temp file is raised as one about `path`."""
     tmp = os.fspath(path) + ".tmp"
     try:
         with open(tmp, mode, **open_kwargs) as f:
             yield f
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
         raise
 
 

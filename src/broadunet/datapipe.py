@@ -45,7 +45,10 @@ class FrameSequence:
 
 @dataclass
 class SampleSet:
-    """(input, target) window pairs plus their frames' metadata and cadence."""
+    """(input, target) window pairs plus their frames' metadata and cadence.
+
+    `make_samples` and `load_samples` give windows that are read-only views
+    of one run of frames, so each frame is held once."""
 
     inputs: np.ndarray    # (N, T, H, W, F)
     targets: np.ndarray   # (N, 1, H, W, F)
@@ -148,9 +151,25 @@ def cloud_preprocess(seq: FrameSequence, lats: np.ndarray,
 # Samples and splits
 # ---------------------------------------------------------------------------
 
+def _windows(frames, lags, horizon):
+    """(inputs, targets): read-only (N, T, ...) and (N, 1, ...) views of
+    `frames`. Window i reads frames i..i+lags-1 and targets frame
+    i+lags-1+horizon, so N = len(frames) - lags - horizon + 1."""
+    count = len(frames) - lags - horizon + 1
+    step, *rest = frames.strides
+
+    def view(first, length):
+        return np.lib.stride_tricks.as_strided(
+            frames[first:], (count, length, *frames.shape[1:]),
+            (step, step, *rest), writeable=False)
+
+    return view(0, lags), view(lags - 1 + horizon, 1)
+
+
 def make_samples(seq: FrameSequence, lags: int, horizon: int) -> SampleSet:
     """One sample per start index: T consecutive input frames, target
-    exactly `horizon` steps after the last input frame."""
+    exactly `horizon` steps after the last input frame. The windows are
+    views of the frames; nothing is copied."""
     if lags < 1 or horizon < 1:
         raise ValueError("lags and horizon must be positive")
     n = len(seq)
@@ -158,9 +177,7 @@ def make_samples(seq: FrameSequence, lags: int, horizon: int) -> SampleSet:
     if count < 1:
         raise ValueError(
             f"sequence of {n} frames too short for lags={lags}, horizon={horizon}")
-    inputs = np.stack([seq.frames[i:i + lags] for i in range(count)])
-    targets = np.stack([seq.frames[i + lags - 1 + horizon][None]
-                        for i in range(count)])
+    inputs, targets = _windows(seq.frames, lags, horizon)
     return SampleSet(inputs, targets, lags, horizon, np.arange(count),
                      {**seq.metadata, "cadence_minutes": seq.cadence_minutes})
 
@@ -274,52 +291,88 @@ def load_frames(path) -> FrameSequence:
 def frames_from_records(records, path) -> FrameSequence:
     """The frames that the records of archive `path` hold."""
     _require_records(records, path, "frames", ("frames", "cadence_minutes"))
-    frames, cadence = records["frames"], records["cadence_minutes"]
-    if frames.ndim != 4 or cadence.size != 1 or not 0 < cadence.item() < np.inf:
+    cadence = records["cadence_minutes"]
+    if cadence.size != 1 or not 0 < cadence.item() < np.inf:
         raise DataError(
-            f"frames archive {path} needs (N, H, W, C) frames and one finite "
-            f"positive cadence_minutes value; it holds frames of shape "
-            f"{frames.shape} and {cadence.size} cadence_minutes value(s), "
-            f"starting {cadence.ravel()[:3].tolist()}")
-    finite = np.isfinite(frames).all(axis=(1, 2, 3))
-    if not finite.all():
-        raise DataError(f"frames archive {path} holds non-finite values, "
-                        f"first in frame {int(np.argmin(finite))}")
+            f"frames archive {path} needs one finite positive cadence_minutes "
+            f"value; it holds {cadence.size} value(s), starting "
+            f"{cadence.ravel()[:3].tolist()}")
     meta = _metadata(records, path, "frames") if "metadata" in records else {}
-    if not _finite_positive(meta.get("norm_factor", 1.0)):
-        raise DataError(
-            f"frames archive {path} needs a finite positive norm_factor (if "
-            f"any) in its metadata; it holds {meta['norm_factor']!r}")
+    frames = _checked_frames(records["frames"], meta, path, "frames")
     return FrameSequence(frames, float(cadence.item()), metadata=meta)
 
 
+def _checked_frames(frames, meta, path, kind) -> np.ndarray:
+    """`frames`, the frame record of `kind` archive `path`, which must be
+    (N, H, W, C) and finite, beside metadata `meta` whose norm_factor (if
+    any) must be a finite positive number."""
+    if frames.ndim != 4:
+        raise DataError(f"{kind} archive {path} needs (N, H, W, C) frames; "
+                        f"it holds frames of shape {frames.shape}")
+    finite = np.isfinite(frames).all(axis=(1, 2, 3))
+    if not finite.all():
+        raise DataError(f"{kind} archive {path} holds non-finite values, "
+                        f"first in frame {int(np.argmin(finite))}")
+    if not _finite_positive(meta.get("norm_factor", 1.0)):
+        raise DataError(
+            f"{kind} archive {path} needs a finite positive norm_factor (if "
+            f"any) in its metadata; it holds {meta['norm_factor']!r}")
+    return frames
+
+
+def _frame_run(samples: SampleSet) -> np.ndarray:
+    """The frames whose windows `samples` are, as `make_samples` cuts them;
+    frames that no window reads (only when N < horizon) are zeros."""
+    inputs, targets = samples.inputs, samples.targets
+    n, lags, horizon = len(samples), samples.lags, samples.horizon
+    if (inputs.ndim != 5 or n < 1 or inputs.shape[1] != lags or horizon < 1
+            or targets.shape != (n, 1, *inputs.shape[2:])
+            or targets.dtype != inputs.dtype):
+        raise ValueError(
+            f"samples need (N, {lags}, H, W, F) inputs with N >= 1 and "
+            f"(N, 1, H, W, F) targets of one dtype; they hold {inputs.shape} "
+            f"{inputs.dtype} and {targets.shape} {targets.dtype}")
+    frames = np.zeros((n + lags - 1 + horizon, *inputs.shape[2:]),
+                      dtype=inputs.dtype)
+    frames[:n] = inputs[:, 0]
+    frames[n:n + lags - 1] = inputs[-1, 1:]
+    frames[lags - 1 + horizon:] = targets[:, 0]
+    views = _windows(frames, lags, horizon)
+    for i in range(n):
+        if any(given[i].tobytes() != view[i].tobytes()
+               for given, view in zip((inputs, targets), views)):
+            raise ValueError(f"window {i} of the samples does not overlap "
+                             f"its neighbours as make_samples cuts them")
+    return frames
+
+
 def save_samples(path, samples: SampleSet) -> None:
-    """Lags and starts are not stored: they follow from the inputs."""
+    """Each frame is stored once; the windows, starts included, follow
+    from the frames, lags and horizon."""
     archive_save(path, {
-        "inputs": samples.inputs,
-        "targets": samples.targets,
-        "metadata": json_record({**samples.metadata,
+        "frame_run": _frame_run(samples),
+        "metadata": json_record({**samples.metadata, "lags": samples.lags,
                                  "horizon": samples.horizon}),
     })
 
 
 def load_samples(path) -> SampleSet:
     records = _require_records(archive_load(path), path, "samples",
-                               ("inputs", "targets", "metadata"))
-    inputs, targets = records["inputs"], records["targets"]
-    if inputs.ndim != 5 or targets.shape != (len(inputs), 1, *inputs.shape[2:]):
-        raise DataError(
-            f"samples archive {path} needs (N, T, H, W, F) inputs and "
-            f"(N, 1, H, W, F) targets; it holds inputs of shape "
-            f"{inputs.shape} and targets of shape {targets.shape}")
+                               ("frame_run", "metadata"))
     meta = _metadata(records, path, "samples")
-    horizon, cadence = meta.pop("horizon", None), meta.get("cadence_minutes")
-    norm = meta.get("norm_factor", 1.0)
-    if not (type(horizon) is int and horizon >= 1
-            and _finite_positive(cadence) and _finite_positive(norm)):
+    lags, horizon = meta.pop("lags", None), meta.pop("horizon", None)
+    cadence = meta.get("cadence_minutes")
+    if not (type(lags) is int and lags >= 1 and type(horizon) is int
+            and horizon >= 1 and _finite_positive(cadence)):
         raise DataError(
-            f"samples archive {path} needs a whole horizon >= 1 and a finite "
-            f"positive cadence_minutes and norm_factor (if any) in its metadata"
-            f"; it holds {horizon!r}, {cadence!r} and {norm!r}")
-    return SampleSet(inputs, targets, inputs.shape[1], horizon,
-                     np.arange(len(inputs)), meta)
+            f"samples archive {path} needs a whole lags and horizon >= 1 and "
+            f"a finite positive cadence_minutes in its metadata; it holds "
+            f"{lags!r}, {horizon!r} and {cadence!r}")
+    frames = _checked_frames(records["frame_run"], meta, path, "samples")
+    count = len(frames) - lags - horizon + 1
+    if count < 1:
+        raise DataError(
+            f"samples archive {path} holds {len(frames)} frames, too few for "
+            f"one window of lags={lags}, horizon={horizon}")
+    inputs, targets = _windows(frames, lags, horizon)
+    return SampleSet(inputs, targets, lags, horizon, np.arange(count), meta)

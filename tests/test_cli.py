@@ -556,17 +556,33 @@ class TestEval:
             self, workspace, tmp_path, capsys):
         # samples written before the metadata record held lags_horizon and
         # starts; they are remade with make-samples, not read
-        records = archive_load(workspace["samples"])
+        windows = load_samples(workspace["samples"])
         old = str(tmp_path / "old.btar")
         archive_save(old, {
-            "inputs": records["inputs"], "targets": records["targets"],
-            "starts": np.arange(len(records["inputs"]), dtype=np.float64),
+            "inputs": windows.inputs, "targets": windows.targets,
+            "starts": np.arange(len(windows), dtype=np.float64),
             "lags_horizon": np.array([2.0, 1.0])})
         capsys.readouterr()
         assert run(["eval", "--checkpoint", workspace["checkpoint"],
                     "--samples", old, "--out", str(tmp_path / "m.csv")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and old in err and "'metadata'" in err
+        assert not (tmp_path / "m.csv").exists()
+
+    def test_stacked_window_samples_name_the_frame_run_record(
+            self, workspace, tmp_path, capsys):
+        # samples that stored every window whole, beside a metadata record;
+        # they are remade with make-samples, not read
+        windows = load_samples(workspace["samples"])
+        old = str(tmp_path / "old.btar")
+        archive_save(old, {
+            "inputs": windows.inputs, "targets": windows.targets,
+            "metadata": json_record({**windows.metadata, "horizon": 1})})
+        capsys.readouterr()
+        assert run(["eval", "--checkpoint", workspace["checkpoint"],
+                    "--samples", old, "--out", str(tmp_path / "m.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and old in err and "'frame_run'" in err
         assert not (tmp_path / "m.csv").exists()
 
     def test_samples_without_a_path_is_usage_error(self, workspace, tmp_path):
@@ -651,7 +667,7 @@ class TestPredict:
         with open(workspace["samples"], "rb") as f:
             blob = f.read()
         bad = tmp_path / "bad_samples.btar"
-        bad.write_bytes(blob.replace(b"targets", b"\xffargets", 1))
+        bad.write_bytes(blob.replace(b"frame_run", b"\xfframe_run", 1))
         capsys.readouterr()
         assert run(["predict", "--checkpoint", workspace["checkpoint"],
                     "--samples", str(bad), "--out",
@@ -712,7 +728,7 @@ class TestWrongInputs:
             "--samples", workspace["frames"], "--out", str(tmp_path / "out")])
         assert code == 2
         assert err.startswith("error: ") and workspace["frames"] in err
-        assert "'inputs'" in err
+        assert "'frame_run'" in err
 
     @pytest.mark.parametrize("command", [
         ["predict", "--out", "out.pgm"],
@@ -734,23 +750,29 @@ class TestWrongInputs:
         assert not (tmp_path / out_name).exists()
 
     @pytest.mark.parametrize("edit", [
-        lambda records: records.update(targets=records["targets"][:5]),
-        *(lambda records, window=window: records.update(targets=np.zeros(
-            (len(records["inputs"]), *window), dtype=np.float32))
-          for window in [(1, 1, 1, 1), (2, 16, 16, 1), (1, 8, 8, 1)]),
+        # 15 frames hold no window of lags 2, horizon 1 once cut to 2, nor
+        # one of lags 15
+        lambda records: records.update(frame_run=records["frame_run"][:2]),
+        edit_metadata(lags=15),
+        lambda records: records.update(frame_run=records["frame_run"][..., 0]),
+        lambda records: records.update(frame_run=records["frame_run"][None]),
         *(edit_metadata(horizon=value)
           for value in [[1, 7], np.inf, np.nan, -3, 1.5, 0, None, True, "2"]),
+        *(edit_metadata(lags=value)
+          for value in [[2], np.nan, 0, 2.0, None, True, "2"]),
         *(edit_metadata(cadence_minutes=value)
           for value in [np.nan, -5, 0, np.inf, "5", None]),
         *(edit_metadata(norm_factor=value) for value in [np.nan, 0, -1, np.inf]),
         lambda records: records.update(metadata=json_record([1.0, "a"])),
         lambda records: records.update(
             metadata=np.frombuffer(b'{"horizon": ', dtype=np.uint8)),
-    ], ids=["five_of_thirteen_targets", "one_pixel_targets",
-            "two_frame_targets", "half_size_targets", "list_horizon",
+    ], ids=["too_few_frames", "lags_past_the_run", "rank3_frames",
+            "rank5_frames", "list_horizon",
             "infinite_horizon", "nan_horizon", "negative_horizon",
             "fractional_horizon", "zero_horizon", "absent_horizon",
-            "bool_horizon", "string_horizon", "nan_cadence",
+            "bool_horizon", "string_horizon", "list_lags", "nan_lags",
+            "zero_lags", "float_lags", "absent_lags", "bool_lags",
+            "string_lags", "nan_cadence",
             "negative_cadence", "zero_cadence", "infinite_cadence",
             "string_cadence", "absent_cadence", "nan_norm_factor",
             "zero_norm_factor", "negative_norm_factor",
@@ -818,6 +840,32 @@ class TestWrongInputs:
         assert err.startswith(f"error: frames archive {bad} holds non-finite "
                               f"values, first in frame 9")
         assert not (tmp_path / "out.btar").exists()
+
+    @pytest.mark.parametrize("command", [
+        ["predict", "--checkpoint", "{checkpoint}", "--out", "{out}/p.pgm"],
+        ["eval", "--checkpoint", "{checkpoint}", "--out", "{out}/m.csv"],
+        ["dump-features", "--checkpoint", "{checkpoint}",
+         "--out-dir", "{out}/feat"],
+        ["train", "--f0", "1", "--train-n", "4", "--val-n", "2",
+         "--test-n", "2", "--epochs", "1", "--out-dir", "{out}/run"],
+    ], ids=["predict", "eval", "dump-features", "train"])
+    def test_non_finite_samples_frame_is_named(self, workspace, tmp_path,
+                                               capsys, command):
+        records = archive_load(workspace["samples"])
+        records["frame_run"][9, 3, 3, 0] = np.nan
+        records["frame_run"][11] = -np.inf
+        bad = str(tmp_path / "nan_samples.btar")
+        archive_save(bad, records)
+        out = tmp_path / "out"
+        out.mkdir()
+        code, err = self._run(capsys, [
+            *(arg.format(checkpoint=workspace["checkpoint"], out=out)
+              for arg in command), "--samples", bad])
+        assert code == 2
+        assert err.startswith(f"error: samples archive {bad} holds non-finite "
+                              f"values, first in frame 9")
+        # train exits before it makes its --out-dir
+        assert os.listdir(out) == []
 
     @pytest.mark.parametrize("recorded", [True, False],
                              ids=["recorded_rates", "names_only"])
@@ -1033,6 +1081,16 @@ class TestAtomicWrites:
         assert open(target, "rb").read() not in (b"", self.OLD)
         assert not os.path.exists(target + ".tmp")
 
+    def test_missing_directory_error_names_the_target(self, workspace,
+                                                      tmp_path, capsys):
+        target = str(tmp_path / "absent" / "s.btar")
+        capsys.readouterr()
+        assert run(["make-samples", "--frames", workspace["frames"],
+                    "--lags", "2", "--out", target]) == 2
+        err = capsys.readouterr().err
+        assert f"No such file or directory: '{target}'" in err
+        assert ".tmp" not in err
+
     def test_unsupported_record_keeps_the_old_archive(self, tmp_path):
         # the int64 record fails after the f32 one has been written
         path = tmp_path / "a.btar"
@@ -1062,7 +1120,7 @@ def faulty_inputs(workspace, raw_radar, tmp_path_factory):
     paths["nan_frames"] = str(root / "nan_frames.btar")
     archive_save(paths["nan_frames"], records)
     records = archive_load(workspace["samples"])
-    records["inputs"][0] = np.nan
+    records["frame_run"][0] = np.nan
     paths["nan_samples"] = str(root / "nan_samples.btar")
     archive_save(paths["nan_samples"], records)
     paths["nan_checkpoint"] = nan_checkpoint(
@@ -1086,7 +1144,7 @@ def _model_command(command, flag, out, fault):
     if fault == "missing_dir":
         out = out.replace("{out}", "{out}/absent")
     return (fault, [command, "--checkpoint", checkpoint, "--samples", samples,
-                    flag, out], 3 if fault.startswith("nan") else 2)
+                    flag, out], 3 if fault == "nan_checkpoint" else 2)
 
 
 FAULT_MATRIX = [
@@ -1107,7 +1165,7 @@ FAULT_MATRIX = [
           ("nan_payload", "{nan_frames}", "{out}/s.btar")]),
     # train makes its --out-dir, so a missing one is no fault
     ("truncated_input", [*_TRAIN, "--samples", "{truncated_samples}"], 2),
-    ("nan_payload", [*_TRAIN, "--samples", "{nan_samples}"], 3),
+    ("nan_payload", [*_TRAIN, "--samples", "{nan_samples}"], 2),
     # dump-features makes its --out-dir, so a missing one is no fault
     *(_model_command(command, flag, out, fault)
       for command, flag, out, faults in [

@@ -11,6 +11,7 @@ from broadunet.archive import FormatError, archive_load, archive_save, json_reco
 from broadunet.datapipe import (
     DataError,
     FrameSequence,
+    SampleSet,
     SynthConfig,
     cloud_preprocess,
     load_frames,
@@ -200,42 +201,47 @@ class TestArchive:
 class TestSamplesArchive:
     @given(st.data())
     @settings(max_examples=100, deadline=None)
-    def test_any_window_counts_load_or_data_error(self, tmp_path_factory,
-                                                  data):
+    def test_any_window_counts_load_or_data_error(
+            self, tmp_path_factory, data):
         # each field is drawn valid half the time, so whole valid archives
         # and archives with one field wrong both come up often
-        n_inputs = data.draw(st.integers(0, 3))
-        n_targets = data.draw(st.one_of(st.just(n_inputs), st.integers(0, 3)))
-        target_window = data.draw(st.one_of(
-            st.just((1, 4, 4, 1)),
+        frames_dims = data.draw(st.one_of(
+            st.integers(0, 6).map(lambda n: (n, 4, 4, 1)),
             st.lists(st.integers(1, 4), max_size=5).map(tuple)))
-        # the horizon must be a JSON integer of at least 1, the cadence a
-        # finite positive number; near misses such as 1.5, true or "5" come
-        # up, and None leaves the key out of the metadata
-        horizon_ok, cadence_ok = (data.draw(st.booleans()) for _ in range(2))
-        horizon = data.draw(st.integers(1, 6) if horizon_ok else
+        # lags and horizon must be JSON integers of at least 1, the cadence
+        # a finite positive number; near misses such as 1.5, true or "5"
+        # come up, and None leaves the key out of the metadata
+        lags_ok, horizon_ok, cadence_ok = (data.draw(st.booleans())
+                                           for _ in range(3))
+        lags = data.draw(st.integers(1, 4) if lags_ok else
+                         st.sampled_from([0, 1.5, -3, True, "2", None]))
+        horizon = data.draw(st.integers(1, 4) if horizon_ok else
                             st.sampled_from([0, 1.5, -3, True, "2", None]))
         cadence = data.draw(st.floats(0.5, 60.0) if cadence_ok else
                             st.sampled_from([0, -5, np.nan, np.inf, "5", None]))
-        drawn = {"horizon": horizon, "cadence_minutes": cadence}
+        drawn = {"lags": lags, "horizon": horizon, "cadence_minutes": cadence}
         meta = {"source": "synthetic",
                 **{k: v for k, v in drawn.items() if v is not None}}
         path = tmp_path_factory.getbasetemp() / "fuzz_samples.btar"
-        archive_save(path, {
-            "inputs": np.zeros((n_inputs, 2, 4, 4, 1), dtype=np.float32),
-            "targets": np.zeros((n_targets, *target_window), dtype=np.float32),
-            "metadata": json_record(meta),
-        })
-        consistent = (n_inputs == n_targets and target_window == (1, 4, 4, 1)
-                      and horizon_ok and cadence_ok)
+        frames = np.arange(np.prod(frames_dims), dtype=np.float32).reshape(
+            frames_dims)
+        archive_save(path, {"frame_run": frames, "metadata": json_record(meta)})
+        consistent = (len(frames_dims) == 4 and lags_ok and horizon_ok
+                      and cadence_ok and frames_dims[0] >= lags + horizon)
         try:
             samples = load_samples(path)
         except DataError:
             assert not consistent
         else:
             assert consistent
-            assert (samples.lags, samples.horizon) == (2, horizon)
-            np.testing.assert_array_equal(samples.starts, np.arange(n_inputs))
+            count = frames_dims[0] - lags - horizon + 1
+            assert (samples.lags, samples.horizon) == (lags, horizon)
+            np.testing.assert_array_equal(samples.starts, np.arange(count))
+            assert samples.inputs.shape == (count, lags, *frames_dims[1:])
+            assert samples.targets.shape == (count, 1, *frames_dims[1:])
+            np.testing.assert_array_equal(samples.inputs[:, 0], frames[:count])
+            np.testing.assert_array_equal(samples.targets[:, 0],
+                                          frames[lags - 1 + horizon:])
             assert samples.metadata == {"source": "synthetic",
                                         "cadence_minutes": cadence}
 
@@ -436,6 +442,117 @@ class TestMakeSamples:
             make_samples(seq, lags=2, horizon=0)
 
 
+def _stacked(frames, lags, horizon):
+    """Every window copied out of `frames` with np.stack, the way windows
+    were built before they became views."""
+    count = len(frames) - lags - horizon + 1
+    inputs = np.stack([frames[i:i + lags] for i in range(count)])
+    targets = np.stack([frames[i + lags - 1 + horizon][None]
+                        for i in range(count)])
+    return inputs, targets
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestWindows:
+    """Windows are read-only views of one frame run, and a samples file
+    stores that run once."""
+
+    @staticmethod
+    def _seq(n):
+        frames = np.random.default_rng(n).standard_normal((n, 3, 2, 2))
+        return FrameSequence(frames.astype(np.float32), 5.0,
+                             {"source": "synthetic"})
+
+    # (frame count, lags, horizon); the last three have fewer windows than
+    # the horizon, so some frames between the last input frame and the
+    # first target frame are read by no window
+    @pytest.mark.parametrize("n,lags,horizon", [
+        (2, 1, 1), (10, 3, 2), (13, 4, 1), (12, 1, 3), (9, 2, 6), (6, 1, 5),
+        (8, 3, 5)])
+    def test_windows_are_the_stacked_arrays(self, tmp_path, n, lags, horizon):
+        seq = self._seq(n)
+        inputs, targets = _stacked(seq.frames, lags, horizon)
+        made = make_samples(seq, lags, horizon)
+        path = tmp_path / "s.btar"
+        save_samples(path, made)
+        loaded = load_samples(path)
+        for samples in (made, loaded):
+            assert _same_bits(samples.inputs, inputs)
+            assert _same_bits(samples.targets, targets)
+            # so the model's ascontiguousarray copies nothing
+            assert all(x.flags.c_contiguous for x in samples.inputs)
+        count, first_target = len(made), lags - 1 + horizon
+        unread = np.s_[count + lags - 1:first_target]
+        assert len(seq.frames[unread]) == max(0, horizon - count)
+        expected = seq.frames.copy()
+        expected[unread] = 0
+        assert _same_bits(archive_load(path)["frame_run"], expected)
+
+    def test_writing_into_a_window_raises(self, tmp_path):
+        made = make_samples(self._seq(8), 3, 1)
+        save_samples(tmp_path / "s.btar", made)
+        loaded = load_samples(tmp_path / "s.btar")
+        for samples in (made, loaded, split_counts(made, 2, 1, 1)[1]):
+            for window in (samples.inputs, samples.targets, samples.inputs[0]):
+                with pytest.raises(ValueError, match="read-only"):
+                    window[...] = 0
+
+    def test_splits_share_memory_with_the_frames(self):
+        seq = self._seq(20)
+        for part in split_counts(make_samples(seq, 3, 2), 8, 4, 3):
+            assert np.shares_memory(part.inputs, seq.frames)
+            assert np.shares_memory(part.targets, seq.frames)
+
+    def test_stacked_windows_save_the_same_bytes(self, tmp_path):
+        made = make_samples(self._seq(10), 3, 2)
+        stacked = SampleSet(*_stacked(self._seq(10).frames, 3, 2), 3, 2,
+                            np.arange(len(made)), made.metadata)
+        save_samples(tmp_path / "made.btar", made)
+        save_samples(tmp_path / "stacked.btar", stacked)
+        assert ((tmp_path / "made.btar").read_bytes()
+                == (tmp_path / "stacked.btar").read_bytes())
+
+    @pytest.mark.parametrize("edit", [
+        lambda inputs, targets: inputs[2, 0].__iadd__(1),
+        lambda inputs, targets: targets[0].__imul__(-1),
+        lambda inputs, targets: (inputs.__setitem__(slice(None), inputs[::-1]),
+                                 targets.__setitem__(slice(None), targets[::-1])),
+    ], ids=["input_frame", "target_frame", "reversed_windows"])
+    def test_windows_that_do_not_overlap_are_not_saved(self, tmp_path, edit):
+        inputs, targets = _stacked(self._seq(10).frames, 3, 1)
+        edit(inputs, targets)
+        path = tmp_path / "s.btar"
+        with pytest.raises(ValueError, match="does not overlap"):
+            save_samples(path, SampleSet(inputs, targets, 3, 1,
+                                         np.arange(len(inputs))))
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("lags,horizon", [(2, 1), (4, 1), (3, 0)])
+    def test_windows_of_other_lags_are_not_saved(self, tmp_path, lags, horizon):
+        inputs, targets = _stacked(self._seq(10).frames, 3, 1)
+        with pytest.raises(ValueError):
+            save_samples(tmp_path / "s.btar", SampleSet(
+                inputs, targets, lags, horizon, np.arange(len(inputs))))
+        assert os.listdir(tmp_path) == []
+
+    def test_split_subset_round_trips(self, tmp_path):
+        seq = self._seq(20)
+        _, val, _ = split_counts(make_samples(seq, 3, 2), 8, 4, 3)
+        save_samples(tmp_path / "val.btar", val)
+        # the val windows start at frame 8 and reach frame 8 + 3 + 3 + 1
+        assert _same_bits(archive_load(tmp_path / "val.btar")["frame_run"],
+                          seq.frames[8:16])
+        loaded = load_samples(tmp_path / "val.btar")
+        assert _same_bits(loaded.inputs, np.ascontiguousarray(val.inputs))
+        assert _same_bits(loaded.targets, np.ascontiguousarray(val.targets))
+        assert (loaded.lags, loaded.horizon) == (3, 2)
+        assert loaded.metadata == val.metadata
+        np.testing.assert_array_equal(loaded.starts, np.arange(4))
+
+
 class TestSplits:
     @staticmethod
     def _samples(n_frames=40, lags=3, horizon=2):
@@ -537,7 +654,10 @@ class TestPersistenceIO:
         samples = make_samples(seq, lags=3, horizon=2)
         path = tmp_path / "samples.btar"
         save_samples(path, samples)
-        assert set(archive_load(path)) == {"inputs", "targets", "metadata"}
+        records = archive_load(path)
+        assert set(records) == {"frame_run", "metadata"}
+        # each of the 8 frames once, not 4 windows of 3 + 1 frames
+        np.testing.assert_array_equal(records["frame_run"], seq.frames)
         loaded = load_samples(path)
         np.testing.assert_array_equal(loaded.inputs, samples.inputs)
         np.testing.assert_array_equal(loaded.targets, samples.targets)
