@@ -80,8 +80,10 @@ def json_record(value) -> np.ndarray:
 
 
 def read_json_record(arr, what):
-    """The value of a `json_record`; text that is not UTF-8 JSON is a
-    FormatError naming `what`."""
+    """The value of a `json_record`; a record that is not u8 UTF-8 JSON
+    text is a FormatError naming `what`."""
+    if arr.dtype != np.uint8:
+        raise FormatError(f"{what} holds {arr.dtype} values, not u8 JSON text")
     try:
         return json.loads(arr.tobytes().decode("utf-8"))
     except ValueError as exc:  # a bad byte or bad JSON

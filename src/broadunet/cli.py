@@ -181,10 +181,8 @@ def cmd_train(args):
     training.save_history_csv(result.history, history_path)
     best = Model.load(checkpoint)
     # test MSE in the frames' own units, as `eval` scores it
-    denorm = samples.metadata.get("norm_factor", 1.0)
-    report = training.evaluate(best, test_set, denorm_factor=denorm)
-    baseline = training.evaluate(persistence_predict, test_set,
-                                 denorm_factor=denorm)
+    report = training.evaluate(best, test_set)
+    baseline = training.evaluate(persistence_predict, test_set)
     print(f"best epoch {result.best_epoch}: val loss {result.best_val_loss:.6g}")
     print(f"test mse {report.mse:.6g} (persistence {baseline.mse:.6g})")
     return [checkpoint, history_path], {
@@ -203,7 +201,7 @@ def cmd_eval(args):
         last = checkpoint, _load_model(checkpoint, samples, path, last)
         report = training.evaluate(
             lambda x: _finite(last[1].predict(x), checkpoint, path), samples,
-            args.threshold, meta.get("norm_factor", 1.0))
+            args.threshold)
         rows.append((samples.horizon * float(meta["cadence_minutes"]), report))
     with atomic_write(args.out, "w", newline="\n") as f:
         f.write(EVAL_COLUMNS + "\n")

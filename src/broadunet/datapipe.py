@@ -45,24 +45,33 @@ class FrameSequence:
 
 @dataclass
 class SampleSet:
-    """(input, target) window pairs plus their frames' metadata and cadence.
+    """(input, target) windows of one run of frames, plus the frames'
+    metadata and cadence.
 
-    `make_samples` and `load_samples` give windows that are read-only views
-    of one run of frames, so each frame is held once."""
+    `inputs` (N, T, H, W, F) and `targets` (N, 1, H, W, F) are read-only
+    views of `frame_run`, derived at construction, so each frame is held
+    once; see `_windows`."""
 
-    inputs: np.ndarray    # (N, T, H, W, F)
-    targets: np.ndarray   # (N, 1, H, W, F)
+    frame_run: np.ndarray   # (N + lags + horizon - 1, H, W, F)
     lags: int
     horizon: int
-    starts: np.ndarray
     metadata: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.inputs, self.targets = _windows(self.frame_run, self.lags,
+                                             self.horizon)
 
     def __len__(self):
         return self.inputs.shape[0]
 
-    def subset(self, index) -> "SampleSet":
-        return SampleSet(self.inputs[index], self.targets[index], self.lags,
-                         self.horizon, self.starts[index], self.metadata)
+    def subset(self, windows: slice) -> "SampleSet":
+        """The contiguous `windows`, over just the frames they read."""
+        picked = range(len(self))[windows]
+        if picked.step != 1:
+            raise ValueError(f"a subset takes contiguous windows, not {windows}")
+        end = picked.start + len(picked) + self.lags + self.horizon - 1
+        return SampleSet(self.frame_run[picked.start:end], self.lags,
+                         self.horizon, self.metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -172,13 +181,10 @@ def make_samples(seq: FrameSequence, lags: int, horizon: int) -> SampleSet:
     views of the frames; nothing is copied."""
     if lags < 1 or horizon < 1:
         raise ValueError("lags and horizon must be positive")
-    n = len(seq)
-    count = n - lags - horizon + 1
-    if count < 1:
-        raise ValueError(
-            f"sequence of {n} frames too short for lags={lags}, horizon={horizon}")
-    inputs, targets = _windows(seq.frames, lags, horizon)
-    return SampleSet(inputs, targets, lags, horizon, np.arange(count),
+    if len(seq) < lags + horizon:
+        raise ValueError(f"sequence of {len(seq)} frames too short for "
+                         f"lags={lags}, horizon={horizon}")
+    return SampleSet(seq.frames, lags, horizon,
                      {**seq.metadata, "cadence_minutes": seq.cadence_minutes})
 
 
@@ -320,37 +326,13 @@ def _checked_frames(frames, meta, path, kind) -> np.ndarray:
     return frames
 
 
-def _frame_run(samples: SampleSet) -> np.ndarray:
-    """The frames whose windows `samples` are, as `make_samples` cuts them;
-    frames that no window reads (only when N < horizon) are zeros."""
-    inputs, targets = samples.inputs, samples.targets
-    n, lags, horizon = len(samples), samples.lags, samples.horizon
-    if (inputs.ndim != 5 or n < 1 or inputs.shape[1] != lags or horizon < 1
-            or targets.shape != (n, 1, *inputs.shape[2:])
-            or targets.dtype != inputs.dtype):
-        raise ValueError(
-            f"samples need (N, {lags}, H, W, F) inputs with N >= 1 and "
-            f"(N, 1, H, W, F) targets of one dtype; they hold {inputs.shape} "
-            f"{inputs.dtype} and {targets.shape} {targets.dtype}")
-    frames = np.zeros((n + lags - 1 + horizon, *inputs.shape[2:]),
-                      dtype=inputs.dtype)
-    frames[:n] = inputs[:, 0]
-    frames[n:n + lags - 1] = inputs[-1, 1:]
-    frames[lags - 1 + horizon:] = targets[:, 0]
-    views = _windows(frames, lags, horizon)
-    for i in range(n):
-        if any(given[i].tobytes() != view[i].tobytes()
-               for given, view in zip((inputs, targets), views)):
-            raise ValueError(f"window {i} of the samples does not overlap "
-                             f"its neighbours as make_samples cuts them")
-    return frames
-
-
 def save_samples(path, samples: SampleSet) -> None:
-    """Each frame is stored once; the windows, starts included, follow
-    from the frames, lags and horizon."""
+    """The set's frame run, each frame once; its windows follow from the
+    frames, lags and horizon. A set with no windows is not written."""
+    if len(samples) < 1:
+        raise ValueError("a samples file needs at least one window")
     archive_save(path, {
-        "frame_run": _frame_run(samples),
+        "frame_run": samples.frame_run,
         "metadata": json_record({**samples.metadata, "lags": samples.lags,
                                  "horizon": samples.horizon}),
     })
@@ -369,10 +351,8 @@ def load_samples(path) -> SampleSet:
             f"a finite positive cadence_minutes in its metadata; it holds "
             f"{lags!r}, {horizon!r} and {cadence!r}")
     frames = _checked_frames(records["frame_run"], meta, path, "samples")
-    count = len(frames) - lags - horizon + 1
-    if count < 1:
+    if len(frames) < lags + horizon:
         raise DataError(
             f"samples archive {path} holds {len(frames)} frames, too few for "
             f"one window of lags={lags}, horizon={horizon}")
-    inputs, targets = _windows(frames, lags, horizon)
-    return SampleSet(inputs, targets, lags, horizon, np.arange(count), meta)
+    return SampleSet(frames, lags, horizon, meta)

@@ -60,15 +60,16 @@ class AdamState:
 
 
 def adam_step(params: dict, grads: dict, state: AdamState, lr: float) -> None:
-    """One Adam update, in place. Parameters without a gradient see g = 0."""
+    """One Adam update, in place; a missing gradient raises before any update."""
+    missing = [name for name in params if grads.get(name) is None]
+    if missing:
+        raise ValueError(f"parameter {missing[0]} has no gradient")
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
     for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            g = np.zeros_like(p)
+        g = grads[name]
         if g.shape != p.shape:
             raise ValueError(f"gradient shape mismatch for {name}")
         m = state.m[name]
@@ -125,12 +126,10 @@ def train(model, train_set, val_set, cfg: TrainConfig) -> TrainResult:
     """
     if len(train_set.inputs) == 0 or len(val_set.inputs) == 0:
         raise ValueError("train and validation sets must be nonempty")
-    in_shape, out_shape = model.input_shape(), model.out_shape()
     for part in (train_set, val_set):
-        x_shape, t_shape = part.inputs.shape[1:], part.targets.shape[1:]
-        if x_shape != in_shape or t_shape != out_shape:
-            raise ValueError(
-                f"sample shapes {x_shape}/{t_shape} do not match model")
+        if part.inputs.shape[1:] != model.input_shape():
+            raise ValueError(f"sample shape {part.inputs.shape[1:]} does not "
+                             f"match the model's {model.input_shape()}")
     loss_fn = LOSSES[cfg.loss]
     if not model.initialized:
         model.initialize(seed=cfg.seed)
@@ -205,9 +204,8 @@ def _ratio(num: int, den: int, other_den: int) -> float:
     return num / den
 
 
-def evaluate(predictor, test_set, threshold: float = 0.5,
-             denorm_factor: float = 1.0) -> MetricsReport:
-    """MSE over denormalized data plus pixelwise binary metrics.
+def evaluate(predictor, test_set, threshold: float = 0.5) -> MetricsReport:
+    """MSE scaled by the set's `norm_factor`, plus pixelwise binary metrics.
 
     `predictor` is a Model or any callable mapping input to prediction.
     Confusion counts aggregate over all pixels of all samples.
@@ -215,6 +213,7 @@ def evaluate(predictor, test_set, threshold: float = 0.5,
     if len(test_set.inputs) == 0:
         raise ValueError("test set must be nonempty")
     predict = predictor.predict if hasattr(predictor, "predict") else predictor
+    denorm_factor = test_set.metadata.get("norm_factor", 1.0)
     sq_err = 0.0
     tp = fp = fn = tn = 0
     n_pixels = 0

@@ -153,8 +153,8 @@ def test_criterion_5_metrics_fidelity():
     # hand-enumerated confusion case: tp=1, fp=1, fn=1, tn=1
     pred = np.array([[1.0, 1.0], [0.0, 0.0]])[None, None, :, :, None]
     target = np.array([[1.0, 0.0], [0.0, 1.0]])[None, None, :, :, None]
-    samples = SampleSet(inputs=np.zeros_like(target), targets=target,
-                        lags=1, horizon=1, starts=np.zeros(1, dtype=np.int64))
+    samples = SampleSet(np.concatenate([np.zeros_like(target[0]), target[0]]),
+                        lags=1, horizon=1)
     r = evaluate(lambda x: pred[0], samples, threshold=0.5)
     hand_ok = (r.mse == 0.5 and r.mse_binarized == 0.5 and r.accuracy == 0.5
                and r.precision == 0.5 and r.recall == 0.5)

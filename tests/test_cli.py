@@ -1,4 +1,5 @@
 import builtins
+import dataclasses
 import hashlib
 import json
 import os
@@ -413,11 +414,12 @@ class TestTrain:
         assert norm_factor != 1.0
         best = Model.load(str(run_dir / "checkpoint.btar"))
         test_set = windows.subset(np.s_[2:3])
+        unscaled = dataclasses.replace(test_set, metadata={})
         for key, predictor in [("test_mse", best),
                                ("persistence_test_mse", persistence_predict)]:
-            report = evaluate(predictor, test_set, denorm_factor=norm_factor)
+            report = evaluate(predictor, test_set)
             assert manifest[key] == report.mse, key
-            assert manifest[key] != evaluate(predictor, test_set).mse, key
+            assert manifest[key] != evaluate(predictor, unscaled).mse, key
 
     def test_different_seed_changes_history(self, tmp_path):
         out = []
@@ -548,9 +550,11 @@ class TestEval:
                     "--out", str(out)]) == 0
         row = out.read_text().splitlines()[1].split(",")
         model, windows = Model.load(checkpoint), load_samples(samples)
-        report = evaluate(model, windows, denorm_factor=norm_factor)
+        assert windows.metadata["norm_factor"] == norm_factor
+        report = evaluate(model, windows)
         assert row[:2] == ["5.0", repr(report.mse)]
-        assert report.mse != evaluate(model, windows).mse
+        unscaled = dataclasses.replace(windows, metadata={})
+        assert report.mse != evaluate(model, unscaled).mse
 
     def test_old_format_samples_name_the_metadata_record(
             self, workspace, tmp_path, capsys):
@@ -1125,6 +1129,16 @@ def faulty_inputs(workspace, raw_radar, tmp_path_factory):
     archive_save(paths["nan_samples"], records)
     paths["nan_checkpoint"] = nan_checkpoint(
         workspace, str(root / "nan_checkpoint.btar"))
+    # the JSON record as valid JSON that is no object, or as f32 values
+    for kind, name in [("frames", "metadata"), ("samples", "metadata"),
+                       ("checkpoint", "__manifest__")]:
+        for fault, edit in [("bad_metadata", lambda record: json_record([])),
+                            ("wrong_dtype", lambda record: record.astype(
+                                np.float32))]:
+            records = archive_load(paths[kind])
+            records[name] = edit(records[name])
+            paths[f"{fault}_{kind}"] = str(root / f"{fault}_{kind}.btar")
+            archive_save(paths[f"{fault}_{kind}"], records)
     return root, paths
 
 
@@ -1136,11 +1150,13 @@ _PRECIP = ["preprocess", "--task", "precip", "--rain-fraction", "0.1"]
 def _model_command(command, flag, out, fault):
     """(fault, argv, exit code) of `eval`, `predict` or `dump-features`
     under one fault of its checkpoint, samples or output directory."""
-    checkpoint = {"truncated_checkpoint": "{truncated_checkpoint}",
-                  "nan_checkpoint": "{nan_checkpoint}"}.get(
-                      fault, "{checkpoint}")
+    # each fault of the checkpoint has the name of its faulty file
+    checkpoint = (f"{{{fault}}}" if fault.endswith("_checkpoint")
+                  else "{checkpoint}")
     samples = {"truncated_input": "{truncated_samples}",
-               "nan_payload": "{nan_samples}"}.get(fault, "{samples}")
+               "nan_payload": "{nan_samples}",
+               "bad_metadata": "{bad_metadata_samples}",
+               "wrong_dtype": "{wrong_dtype_samples}"}.get(fault, "{samples}")
     if fault == "missing_dir":
         out = out.replace("{out}", "{out}/absent")
     return (fault, [command, "--checkpoint", checkpoint, "--samples", samples,
@@ -1157,15 +1173,22 @@ FAULT_MATRIX = [
                          "--out", "{out}/c.btar"], 2),
     ("nan_payload", [*_PRECIP, "--frames", "{nan_frames}",
                      "--out", "{out}/c.btar"], 2),
+    *((fault, [*_PRECIP, "--frames", f"{{{fault}_frames}}",
+               "--out", "{out}/c.btar"], 2)
+      for fault in ["bad_metadata", "wrong_dtype"]),
     *((fault, ["make-samples", "--frames", frames, "--lags", "2",
                "--out", out], 2)
       for fault, frames, out in [
           ("missing_dir", "{frames}", "{out}/absent/s.btar"),
           ("truncated_input", "{truncated_frames}", "{out}/s.btar"),
-          ("nan_payload", "{nan_frames}", "{out}/s.btar")]),
+          ("nan_payload", "{nan_frames}", "{out}/s.btar"),
+          ("bad_metadata", "{bad_metadata_frames}", "{out}/s.btar"),
+          ("wrong_dtype", "{wrong_dtype_frames}", "{out}/s.btar")]),
     # train makes its --out-dir, so a missing one is no fault
     ("truncated_input", [*_TRAIN, "--samples", "{truncated_samples}"], 2),
     ("nan_payload", [*_TRAIN, "--samples", "{nan_samples}"], 2),
+    ("bad_metadata", [*_TRAIN, "--samples", "{bad_metadata_samples}"], 2),
+    ("wrong_dtype", [*_TRAIN, "--samples", "{wrong_dtype_samples}"], 2),
     # dump-features makes its --out-dir, so a missing one is no fault
     *(_model_command(command, flag, out, fault)
       for command, flag, out, faults in [
@@ -1173,7 +1196,9 @@ FAULT_MATRIX = [
           ("predict", "--out", "{out}/p.pgm", ["missing_dir"]),
           ("dump-features", "--out-dir", "{out}/feat", [])]
       for fault in [*faults, "truncated_input", "truncated_checkpoint",
-                    "nan_payload", "nan_checkpoint"]),
+                    "nan_payload", "nan_checkpoint", "bad_metadata",
+                    "bad_metadata_checkpoint", "wrong_dtype",
+                    "wrong_dtype_checkpoint"]),
 ]
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import struct
 import tracemalloc
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from broadunet.archive import FormatError, archive_load, archive_save, json_record
+from broadunet.archive import (FormatError, archive_load, archive_save, json_record,
+                               read_json_record)
 from broadunet.datapipe import (
     DataError,
     FrameSequence,
@@ -197,6 +199,14 @@ class TestArchive:
         assert loaded["s"].shape == ()
         assert loaded["s"] == 3.5
 
+    def test_json_record_round_trips_and_needs_u8(self):
+        record = json_record({"b": [1, 2.5], "a": "é"})
+        assert read_json_record(record, "it") == {"a": "é", "b": [1, 2.5]}
+        for dtype in (np.float32, np.float64):
+            with pytest.raises(FormatError,
+                               match=f"the x record holds {np.dtype(dtype)}"):
+                read_json_record(record.astype(dtype), "the x record")
+
 
 class TestSamplesArchive:
     @given(st.data())
@@ -236,7 +246,6 @@ class TestSamplesArchive:
             assert consistent
             count = frames_dims[0] - lags - horizon + 1
             assert (samples.lags, samples.horizon) == (lags, horizon)
-            np.testing.assert_array_equal(samples.starts, np.arange(count))
             assert samples.inputs.shape == (count, lags, *frames_dims[1:])
             assert samples.targets.shape == (count, 1, *frames_dims[1:])
             np.testing.assert_array_equal(samples.inputs[:, 0], frames[:count])
@@ -484,12 +493,10 @@ class TestWindows:
             assert _same_bits(samples.targets, targets)
             # so the model's ascontiguousarray copies nothing
             assert all(x.flags.c_contiguous for x in samples.inputs)
-        count, first_target = len(made), lags - 1 + horizon
-        unread = np.s_[count + lags - 1:first_target]
-        assert len(seq.frames[unread]) == max(0, horizon - count)
-        expected = seq.frames.copy()
-        expected[unread] = 0
-        assert _same_bits(archive_load(path)["frame_run"], expected)
+        # every frame is stored as it is, even one that no window reads
+        unread = np.s_[len(made) + lags - 1:lags - 1 + horizon]
+        assert len(seq.frames[unread]) == max(0, horizon - len(made))
+        assert _same_bits(archive_load(path)["frame_run"], seq.frames)
 
     def test_writing_into_a_window_raises(self, tmp_path):
         made = make_samples(self._seq(8), 3, 1)
@@ -506,38 +513,6 @@ class TestWindows:
             assert np.shares_memory(part.inputs, seq.frames)
             assert np.shares_memory(part.targets, seq.frames)
 
-    def test_stacked_windows_save_the_same_bytes(self, tmp_path):
-        made = make_samples(self._seq(10), 3, 2)
-        stacked = SampleSet(*_stacked(self._seq(10).frames, 3, 2), 3, 2,
-                            np.arange(len(made)), made.metadata)
-        save_samples(tmp_path / "made.btar", made)
-        save_samples(tmp_path / "stacked.btar", stacked)
-        assert ((tmp_path / "made.btar").read_bytes()
-                == (tmp_path / "stacked.btar").read_bytes())
-
-    @pytest.mark.parametrize("edit", [
-        lambda inputs, targets: inputs[2, 0].__iadd__(1),
-        lambda inputs, targets: targets[0].__imul__(-1),
-        lambda inputs, targets: (inputs.__setitem__(slice(None), inputs[::-1]),
-                                 targets.__setitem__(slice(None), targets[::-1])),
-    ], ids=["input_frame", "target_frame", "reversed_windows"])
-    def test_windows_that_do_not_overlap_are_not_saved(self, tmp_path, edit):
-        inputs, targets = _stacked(self._seq(10).frames, 3, 1)
-        edit(inputs, targets)
-        path = tmp_path / "s.btar"
-        with pytest.raises(ValueError, match="does not overlap"):
-            save_samples(path, SampleSet(inputs, targets, 3, 1,
-                                         np.arange(len(inputs))))
-        assert os.listdir(tmp_path) == []
-
-    @pytest.mark.parametrize("lags,horizon", [(2, 1), (4, 1), (3, 0)])
-    def test_windows_of_other_lags_are_not_saved(self, tmp_path, lags, horizon):
-        inputs, targets = _stacked(self._seq(10).frames, 3, 1)
-        with pytest.raises(ValueError):
-            save_samples(tmp_path / "s.btar", SampleSet(
-                inputs, targets, lags, horizon, np.arange(len(inputs))))
-        assert os.listdir(tmp_path) == []
-
     def test_split_subset_round_trips(self, tmp_path):
         seq = self._seq(20)
         _, val, _ = split_counts(make_samples(seq, 3, 2), 8, 4, 3)
@@ -550,7 +525,42 @@ class TestWindows:
         assert _same_bits(loaded.targets, np.ascontiguousarray(val.targets))
         assert (loaded.lags, loaded.horizon) == (3, 2)
         assert loaded.metadata == val.metadata
-        np.testing.assert_array_equal(loaded.starts, np.arange(4))
+
+    def test_a_set_is_its_frame_run(self):
+        assert [f.name for f in dataclasses.fields(SampleSet)] == [
+            "frame_run", "lags", "horizon", "metadata"]
+        frames = self._seq(10).frames
+        samples = SampleSet(frames, 3, 2)
+        inputs, targets = _stacked(frames, 3, 2)
+        assert _same_bits(samples.inputs, inputs)
+        assert _same_bits(samples.targets, targets)
+        assert samples.frame_run is frames
+
+    def test_short_subset_stores_the_frames_no_window_reads(self, tmp_path):
+        seq = self._seq(20)
+        # windows 4 and 5 read frames 4..7 and target frames 11 and 12, so
+        # frames 8..10 are read by no window; they are stored as they are
+        part = make_samples(seq, 3, 5).subset(np.s_[4:6])
+        save_samples(tmp_path / "s.btar", part)
+        assert _same_bits(archive_load(tmp_path / "s.btar")["frame_run"],
+                          seq.frames[4:13])
+        loaded = load_samples(tmp_path / "s.btar")
+        assert _same_bits(loaded.inputs, np.ascontiguousarray(part.inputs))
+        assert _same_bits(loaded.targets, np.ascontiguousarray(part.targets))
+
+    @pytest.mark.parametrize("window_slice", [np.s_[:0], np.s_[7:], np.s_[5:2]])
+    def test_a_set_with_no_windows_is_not_saved(self, tmp_path, window_slice):
+        empty = make_samples(self._seq(10), 3, 1).subset(window_slice)
+        assert len(empty) == 0 and empty.inputs.shape[1:] == (3, 3, 2, 2)
+        with pytest.raises(ValueError, match="at least one window"):
+            save_samples(tmp_path / "s.btar", empty)
+        assert os.listdir(tmp_path) == []
+
+    def test_subset_takes_contiguous_windows(self):
+        samples = make_samples(self._seq(10), 3, 1)
+        for window_slice in (np.s_[::2], np.s_[::-1]):
+            with pytest.raises(ValueError, match="contiguous"):
+                samples.subset(window_slice)
 
 
 class TestSplits:
@@ -560,9 +570,11 @@ class TestSplits:
         return make_samples(seq, lags, horizon)
 
     def test_chronological_order_kept(self):
+        # frame i holds the value i, so a window's first frame is its start
         train, val, test = split_counts(self._samples(), 20, 5, 4)
-        assert train.starts.max() < val.starts.min()
-        assert val.starts.max() < test.starts.min()
+        for part, first in [(train, 0), (val, 20), (test, 25)]:
+            np.testing.assert_array_equal(part.inputs[:, 0].ravel(),
+                                          np.arange(first, first + len(part)))
 
     def test_empty_partition_raises(self):
         samples = self._samples()
@@ -574,9 +586,9 @@ class TestSplits:
         samples = self._samples()
         train, val, test = split_counts(samples, 20, 5, 4)
         assert (len(train), len(val), len(test)) == (20, 5, 4)
-        assert train.starts[0] == 0
-        assert val.starts[0] == 20
-        assert test.starts[0] == 25
+        assert train.inputs[0, 0] == 0
+        assert val.inputs[0, 0] == 20
+        assert test.inputs[0, 0] == 25
         assert train.metadata == test.metadata == {"cadence_minutes": 5}
 
     def test_split_counts_overflow(self):
@@ -662,7 +674,5 @@ class TestPersistenceIO:
         np.testing.assert_array_equal(loaded.inputs, samples.inputs)
         np.testing.assert_array_equal(loaded.targets, samples.targets)
         assert (loaded.lags, loaded.horizon) == (3, 2)
-        np.testing.assert_array_equal(loaded.starts, np.arange(len(samples)))
-        np.testing.assert_array_equal(loaded.starts, samples.starts)
         assert loaded.metadata == samples.metadata == {
             "source": "synthetic", "norm_factor": 0.25, "cadence_minutes": 5.0}

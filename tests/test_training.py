@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -94,12 +96,19 @@ class TestAdam:
         adam_step(params, {"w": np.zeros(1)}, state, lr=0.1)
         np.testing.assert_array_equal(params["w"], [1.5])
 
-    def test_missing_gradient_treated_as_zero(self):
-        params = {"w": np.array([2.0]), "b": np.array([1.0])}
+    def test_missing_gradient_raises_before_anything_moves(self):
+        params = {"w": np.array([2.0]), "b": np.array([1.0]),
+                  "c": np.array([3.0])}
         state = AdamState.for_params(params)
-        adam_step(params, {"w": np.array([1.0])}, state, lr=0.1)
-        assert params["b"][0] == 1.0
-        assert params["w"][0] < 2.0
+        adam_step(params, {k: np.ones(1) for k in params}, state, lr=0.1)
+        before = [{k: a.copy() for k, a in d.items()}
+                  for d in (params, state.m, state.v)]
+        # "b" comes before "c" in parameter order, so it is the one named
+        with pytest.raises(ValueError, match="parameter b has no gradient"):
+            adam_step(params, {"w": np.ones(1)}, state, lr=0.1)
+        for old, new in zip(before, (params, state.m, state.v)):
+            assert all(np.array_equal(old[k], new[k]) for k in params)
+        assert state.t == 1
 
     def test_shape_mismatch(self):
         params = {"w": np.zeros(2)}
@@ -177,15 +186,14 @@ class TestTrainLoop:
         train_set, val_set, _ = _tiny_split(seed=3)
         sets = {"train": train_set, "val": val_set}
         good = sets[bad]
-        # every target window is cropped to 8x8
-        targets = good.targets[:, :, :8, :8]
-        sets[bad] = SampleSet(good.inputs, targets, good.lags, good.horizon,
-                              good.starts)
+        # a run of the same frames cropped to 8x8
+        sets[bad] = SampleSet(good.frame_run[:, :8, :8], good.lags,
+                              good.horizon)
         steps = []
         monkeypatch.setattr("broadunet.training.adam_step",
                             lambda *args: steps.append(args))
         path = tmp_path / "ckpt.btar"
-        with pytest.raises(ValueError, match=r"sample shapes .*\(1, 8, 8, 1\)"):
+        with pytest.raises(ValueError, match=r"sample shape \(2, 8, 8, 1\)"):
             train(build_plain_unet(mini_config(base_filters=1)),
                   sets["train"], sets["val"],
                   TrainConfig(max_epochs=1, checkpoint_path=str(path)))
@@ -213,10 +221,10 @@ class TestMetrics:
     @staticmethod
     def _single(pred_frame, target_frame):
         pred = np.asarray(pred_frame, dtype=np.float64)[None, None, :, :, None]
-        target = np.asarray(target_frame, dtype=np.float64)[None, None, :, :, None]
-        samples = SampleSet(inputs=np.zeros_like(target),
-                            targets=target, lags=1, horizon=1,
-                            starts=np.zeros(1, dtype=np.int64))
+        target = np.asarray(target_frame, dtype=np.float64)[None, :, :, None]
+        # a two-frame run: a zero input frame, then the target frame
+        samples = SampleSet(np.concatenate([np.zeros_like(target), target]),
+                            lags=1, horizon=1)
         return (lambda x: pred[0]), samples
 
     def test_hand_computed_confusion(self):
@@ -258,7 +266,8 @@ class TestMetrics:
         predictor, samples = self._single([[1.0, 1.0], [0.0, 0.0]],
                                           [[1.0, 0.0], [0.0, 1.0]])
         base = evaluate(predictor, samples, threshold=0.5)
-        scaled = evaluate(predictor, samples, threshold=0.5, denorm_factor=3.0)
+        scaled = evaluate(predictor, dataclasses.replace(
+            samples, metadata={"norm_factor": 3.0}), threshold=0.5)
         assert scaled.mse == pytest.approx(9.0 * base.mse)
         assert scaled.accuracy == base.accuracy
 
