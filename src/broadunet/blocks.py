@@ -35,8 +35,6 @@ class MultiScaleBlock(Layer):
 
     def __init__(self, in_channels, out_channels, factorized=True,
                  time_extent=1):
-        super().__init__()
-
         def kernel(n):
             return (min(n, time_extent), n, n)
 
@@ -85,8 +83,6 @@ class Aspp(Layer):
     """
 
     def __init__(self, in_channels, out_channels):
-        super().__init__()
-
         def pointwise():
             return Conv3D(ConvSpec((1, 1, 1), in_channels, out_channels))
 

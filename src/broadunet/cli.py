@@ -1,8 +1,9 @@
 """Command-line surface: synthesize, preprocess, train, evaluate, inspect.
 
 Exit codes: 0 success, 1 usage error, 2 data/format error, 3 numeric failure
-(a failed gradient check, a diverging training run or a non-finite model
-output). `run` writes a JSON
+or program fault (a failed gradient check, a diverging training run, a
+non-finite model output or a `RuntimeError` such as a parameter that got no
+gradient). `run` writes a JSON
 run manifest next to the outputs of every subcommand that writes any, with
 the configuration, seed, wall time, peak RSS and artifact checksums.
 """
@@ -425,7 +426,7 @@ def run(argv) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
-    except FloatingPointError as exc:
+    except (FloatingPointError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -2,8 +2,9 @@
 
 Backward state lives in `_tape`, the only attribute a forward writes:
 `train=True` keeps it, `backward` consumes it once (raising `RuntimeError`
-without it) and `train=False` leaves it `None`. Parameters live in
-`self.params` and gradients accumulate into `self.grads` until zeroed.
+without it) and `train=False` leaves it `None`. Only `Conv3D` has
+parameters: they live in its `params`, and its gradients accumulate into
+its `grads` until zeroed. `Layer.convs()` finds every conv under a node.
 
 Convolutions are anisotropic 3D with per-axis dilation, stride fixed at 1.
 Downsampling is done exclusively by spatial max pooling.
@@ -213,7 +214,6 @@ class ConvTape:
     weights: np.ndarray
     spec: ConvSpec
     in_shape: tuple
-    out_shape: tuple
 
 
 def conv3d_forward(x, weights, bias, spec: ConvSpec):
@@ -250,16 +250,17 @@ def conv3d_forward(x, weights, bias, spec: ConvSpec):
         y = np.ascontiguousarray(y[:, :ho, :wo])
     if bias is not None:
         _add_bias(y, bias)
-    tape = ConvTape(x, weights, spec, x.shape, y.shape)
+    tape = ConvTape(x, weights, spec, x.shape)
     return y, tape
 
 
 def conv3d_backward(tape: ConvTape, grad_out):
     """Gradients of sum(grad_out * output) w.r.t. input, weights and bias."""
-    if grad_out.shape != tape.out_shape:
-        raise ValueError(f"grad shape {grad_out.shape} != output shape {tape.out_shape}")
     spec = tape.spec
     plan = _tap_plan(spec, tape.in_shape[:3])
+    out_shape = (*plan.out_thw, spec.out_channels)
+    if grad_out.shape != out_shape:
+        raise ValueError(f"grad shape {grad_out.shape} != output shape {out_shape}")
     to, ho, wo = plan.out_thw
     _, hp, wp = plan.padded_thw
     if (hp, wp) != (ho, wo):
@@ -317,23 +318,13 @@ def _bias_grad(grad_out):
 # ---------------------------------------------------------------------------
 
 class Layer:
-    """Base graph node. Leaves own parameters; composites own children."""
+    """Base graph node. Composites own children; only `Conv3D` has parameters."""
 
     _tape = None  # what backward needs, kept by a training forward
-
-    def __init__(self):
-        self.params: dict = {}
-        self.grads: dict = {}
 
     # -- structure ---------------------------------------------------------
     def children(self):
         return []
-
-    def param_shapes(self) -> dict:
-        return {}
-
-    def init_params(self, rng, dtype=np.float32):
-        pass
 
     # -- evaluation --------------------------------------------------------
     def out_shape(self, shape: tuple) -> tuple:
@@ -352,12 +343,17 @@ class Layer:
             sub = f"{prefix}.{name}" if prefix else name
             yield from child.walk(sub)
 
+    def convs(self):
+        """(path, conv) of every `Conv3D` under this node, in walk order."""
+        return ((name, layer) for name, layer in self.walk()
+                if isinstance(layer, Conv3D))
+
     def named(self, entries) -> dict:
-        """`entries(layer)` of every layer in walk order, one dict keyed
-        "<layer path>.<key>"."""
-        return {f"{lname}.{key}" if lname else key: value
-                for lname, layer in self.walk()
-                for key, value in entries(layer).items()}
+        """`entries(conv)` of every conv in walk order, one dict keyed
+        "<conv path>.<key>"."""
+        return {f"{cname}.{key}" if cname else key: value
+                for cname, conv in self.convs()
+                for key, value in entries(conv).items()}
 
     def _take_tape(self):
         """The tape of the last training forward, consumed."""
@@ -366,23 +362,18 @@ class Layer:
             raise RuntimeError(f"{type(self).__name__}.backward without a training forward")
         return tape
 
-    def accumulate(self, name, value):
-        if name in self.grads:
-            self.grads[name] += value
-        else:
-            self.grads[name] = value.copy()
-
     def zero_grads(self):
-        for _, layer in self.walk():
-            layer.grads = {}
+        for _, conv in self.convs():
+            conv.grads = {}
 
 
 class Conv3D(Layer):
     """Trainable dilated 3D convolution."""
 
     def __init__(self, spec: ConvSpec):
-        super().__init__()
         self.spec = spec
+        self.params: dict = {}
+        self.grads: dict = {}
 
     def param_shapes(self):
         shapes = {"w": self.spec.weight_shape()}
@@ -419,15 +410,16 @@ class Conv3D(Layer):
 
     def backward(self, grad):
         gx, gw, gb = conv3d_backward(self._take_tape(), grad)
-        self.accumulate("w", gw)
-        if gb is not None:
-            self.accumulate("b", gb)
+        for key, g in (("w", gw), ("b", gb)):
+            if key in self.grads:
+                self.grads[key] += g
+            elif g is not None:
+                self.grads[key] = g  # conv3d_backward's own fresh array
         return gx
 
 
 class Sequential(Layer):
     def __init__(self, layers):
-        super().__init__()
         self.layers = list(layers)
 
     def children(self):
@@ -457,7 +449,6 @@ class Parallel(Layer):
     """
 
     def __init__(self, branches):
-        super().__init__()
         self.named_branches = list(branches)
 
     def __len__(self):
@@ -513,9 +504,7 @@ class MaxPoolSpatial(Layer):
         return (t, h // 2, w // 2, c)
 
     def forward(self, x, train=False, rng=None):
-        _, h, w, _ = x.shape
-        if h % 2 or w % 2:
-            raise ShapeError(f"H and W must be even for 2x2 pooling, got {h}x{w}")
+        self.out_shape(x.shape)
         # the four window elements are the strided views x[:, i::2, j::2];
         # a later one replaces the running maximum only when it is greater.
         # The value is selected by its bits, since np.maximum may return
@@ -565,7 +554,6 @@ class Activation(Layer):
     KINDS = ("relu", "sigmoid")
 
     def __init__(self, kind: str):
-        super().__init__()
         if kind not in self.KINDS:
             raise ValueError(f"unknown activation {kind!r}")
         self.kind = kind
@@ -589,7 +577,6 @@ class Dropout(Layer):
     """Inverted dropout: survivors scaled by 1/(1-rate); inference is identity."""
 
     def __init__(self, rate: float):
-        super().__init__()
         if not 0.0 < rate < 1.0:
             raise ValueError(f"dropout rate must be in (0, 1), got {rate}")
         self.rate = rate

@@ -92,7 +92,6 @@ class _UNetBase(Layer):
     """
 
     def __init__(self, cfg: ModelConfig, bottleneck=()):
-        super().__init__()
         self.cfg = cfg
         plan = cfg.channel_plan
         self.named_layers = [
@@ -189,36 +188,35 @@ class Model:
 
     def initialize(self, seed=0, dtype=np.float32) -> "Model":
         rng = np.random.default_rng(seed)
-        for _, layer in self.root.walk():
-            layer.init_params(rng, dtype=dtype)
+        for _, conv in self.root.convs():
+            conv.init_params(rng, dtype=dtype)
         self.dtype = np.dtype(dtype)
         return self
 
     def named_params(self) -> dict:
-        return self.root.named(lambda layer: layer.params)
+        return self.root.named(lambda conv: conv.params)
 
     def named_grads(self) -> dict:
-        return self.root.named(lambda layer: layer.grads)
+        return self.root.named(lambda conv: conv.grads)
 
     @functools.cached_property
     def _param_owners(self) -> dict:
-        """Parameter name -> (owning layer, key in its params), one walk."""
+        """Parameter name -> (owning conv, key in its params), one walk."""
         return self.root.named(
-            lambda layer: {key: (layer, key) for key in layer.param_shapes()})
+            lambda conv: {key: (conv, key) for key in conv.param_shapes()})
 
     def set_param(self, name: str, value: np.ndarray) -> None:
-        layer, key = self._param_owners[name]
-        if tuple(value.shape) != tuple(layer.param_shapes()[key]):
+        conv, key = self._param_owners[name]
+        if tuple(value.shape) != tuple(conv.param_shapes()[key]):
             raise ValueError(f"shape mismatch for {name}")
-        layer.params[key] = value
+        conv.params[key] = value
 
     def zero_grads(self) -> None:
         self.root.zero_grads()
 
     def conv_specs(self) -> list:
         """(name, ConvSpec) for every convolution, in traversal order."""
-        return [(name, layer.spec) for name, layer in self.root.walk()
-                if isinstance(layer, Conv3D)]
+        return [(name, conv.spec) for name, conv in self.root.convs()]
 
     # -- evaluation ------------------------------------------------------------
     def input_shape(self) -> tuple:
@@ -248,7 +246,7 @@ class Model:
     # -- accounting -------------------------------------------------------------
     def count_params(self):
         """(total, per-layer table); works before initialization."""
-        shapes = self.root.named(lambda layer: layer.param_shapes())
+        shapes = self.root.named(lambda conv: conv.param_shapes())
         table = [(name, int(np.prod(shape))) for name, shape in shapes.items()]
         return sum(n for _, n in table), table
 
@@ -283,8 +281,8 @@ class Model:
             raise FormatError(
                 f"bad checkpoint manifest in {path}: "
                 f"{type(exc).__name__}: {exc}") from exc
-        missing = [name for name, (layer, key) in model._param_owners.items()
-                   if key not in layer.params]
+        missing = [name for name, (conv, key) in model._param_owners.items()
+                   if key not in conv.params]
         if missing:
             raise FormatError(
                 f"checkpoint {path} lacks {len(missing)} parameter(s) of its "
@@ -302,10 +300,6 @@ def build_plain_unet(cfg: ModelConfig) -> Model:
 
 
 ARCHS = {"broad-unet": build_broad_unet, "unet": build_plain_unet}
-
-
-def count_params(model: Model):
-    return model.count_params()
 
 
 def persistence_predict(x: np.ndarray) -> np.ndarray:

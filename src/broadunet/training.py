@@ -60,18 +60,20 @@ class AdamState:
 
 
 def adam_step(params: dict, grads: dict, state: AdamState, lr: float) -> None:
-    """One Adam update, in place; a missing gradient raises before any update."""
-    missing = [name for name in params if grads.get(name) is None]
-    if missing:
-        raise ValueError(f"parameter {missing[0]} has no gradient")
+    """One Adam update, in place. A missing or mis-shaped gradient is a
+    program fault: it raises `RuntimeError` before any update."""
+    for name, p in params.items():
+        g = grads.get(name)
+        if g is None:
+            raise RuntimeError(f"parameter {name} has no gradient")
+        if g.shape != p.shape:
+            raise RuntimeError(f"gradient shape mismatch for {name}")
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
     for name, p in params.items():
         g = grads[name]
-        if g.shape != p.shape:
-            raise ValueError(f"gradient shape mismatch for {name}")
         m = state.m[name]
         v = state.v[name]
         m *= b1
@@ -270,11 +272,10 @@ def grad_check(target, in_shape=None, tol=1e-4, step=1e-6, seed=0,
     if is_model:
         if target.dtype != np.float64:
             raise ValueError("gradient checks require an f64-initialized model")
-    elif any(layer.param_shapes() and not layer.params
-             for _, layer in root.walk()):
+    elif any(not conv.params for _, conv in root.convs()):
         init_rng = np.random.default_rng(seed + 1)
-        for _, layer in root.walk():
-            layer.init_params(init_rng, dtype=np.float64)
+        for _, conv in root.convs():
+            conv.init_params(init_rng, dtype=np.float64)
     if in_shape is None:
         if not is_model:
             raise ValueError("a layer's gradient check needs in_shape")
@@ -288,8 +289,8 @@ def grad_check(target, in_shape=None, tol=1e-4, step=1e-6, seed=0,
     r = rng.standard_normal(y.shape)
     root.zero_grads()
     gx = root.backward(r.copy())
-    grads = root.named(lambda layer: layer.grads)
-    params = root.named(lambda layer: layer.params)
+    grads = root.named(lambda conv: conv.grads)
+    params = root.named(lambda conv: conv.params)
 
     # pooled scale keeps the relative error meaningful at tiny gradients
     pool = [np.abs(gx).ravel()] + [np.abs(g).ravel() for g in grads.values()]

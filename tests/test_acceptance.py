@@ -31,7 +31,6 @@ from broadunet.model import (
     Model,
     ModelConfig,
     build_broad_unet,
-    count_params,
     mini_config,
     persistence_predict,
 )
@@ -110,13 +109,13 @@ def test_criterion_3_parameter_accounting():
         fact = build_broad_unet(ModelConfig(factorized=True, **kwargs))
         full = build_broad_unet(ModelConfig(factorized=False, **kwargs))
         for model in (fact, full):
-            all_match &= (count_params(model)[0]
+            all_match &= (model.count_params()[0]
                           == closed_form_conv_params(model.conv_specs()))
-        all_smaller &= count_params(fact)[0] < count_params(full)[0]
+        all_smaller &= fact.count_params()[0] < full.count_params()[0]
     base = dict(lags=12, height=288, width=288, features=1, base_filters=64)
-    n_fact = count_params(build_broad_unet(ModelConfig(**base)))[0]
-    n_full = count_params(build_broad_unet(ModelConfig(factorized=False,
-                                                       **base)))[0]
+    n_fact = build_broad_unet(ModelConfig(**base)).count_params()[0]
+    n_full = build_broad_unet(ModelConfig(factorized=False,
+                                          **base)).count_params()[0]
     ratio = n_fact / n_full
     ok = all_match and all_smaller and 0.30 <= ratio <= 0.50
     _report(3, "parameter accounting", ok,

@@ -11,18 +11,18 @@ from conftest import closed_form_conv_params
 
 def init_layer(layer, seed=0, dtype=np.float64):
     rng = np.random.default_rng(seed)
-    for _, child in layer.walk():
-        child.init_params(rng, dtype=dtype)
+    for _, conv in layer.convs():
+        conv.init_params(rng, dtype=dtype)
     return layer
 
 
 def layer_param_total(layer):
-    return sum(int(np.prod(s)) for _, l in layer.walk()
-               for s in l.param_shapes().values())
+    return sum(int(np.prod(s)) for _, conv in layer.convs()
+               for s in conv.param_shapes().values())
 
 
 def conv_specs_of(layer):
-    return [(n, l.spec) for n, l in layer.walk() if isinstance(l, Conv3D)]
+    return [(n, conv.spec) for n, conv in layer.convs()]
 
 
 def first_conv(layer):
@@ -41,9 +41,9 @@ class TestMultiScaleBlock:
     def test_zero_weights_degenerate_to_relu(self):
         block = init_layer(MultiScaleBlock(
             3, 3, factorized=False, time_extent=2))
-        for _, layer in block.walk():
-            for key in layer.params:
-                layer.params[key][...] = 0.0
+        for _, conv in block.convs():
+            for key in conv.params:
+                conv.params[key][...] = 0.0
         x = np.random.default_rng(1).standard_normal((2, 4, 4, 3))
         np.testing.assert_array_equal(block.forward(x), np.maximum(x, 0))
 

@@ -13,8 +13,10 @@ import pytest
 
 from broadunet import datapipe
 from broadunet.archive import archive_load, archive_save, json_record
+from broadunet.blocks import MultiScaleBlock
 from broadunet.cli import EVAL_COLUMNS, run
 from broadunet.datapipe import load_frames, load_samples
+from broadunet.layers import Conv3D
 from broadunet.model import ARCHS, Model, ModelConfig, persistence_predict
 from broadunet.pgm import read_pgm, write_pgm
 from broadunet.training import evaluate, save_history_csv
@@ -394,6 +396,35 @@ class TestTrain:
         assert code == 3
         assert err.startswith("error: training diverged in epoch 1")
         assert "RuntimeWarning" not in err
+
+    def test_dropped_gradient_is_a_program_fault(self, tmp_path, monkeypatch,
+                                                 capsys):
+        # a backward that never stores the block merge convs' bias gradient
+        merges, build, backward = set(), MultiScaleBlock.__init__, Conv3D.backward
+
+        def recording_build(block, *args, **kwargs):
+            build(block, *args, **kwargs)
+            merges.add(id(block.merge))
+
+        def dropping_backward(conv, grad):
+            gx = backward(conv, grad)
+            if id(conv) in merges:
+                del conv.grads["b"]
+            return gx
+
+        monkeypatch.setattr(MultiScaleBlock, "__init__", recording_build)
+        monkeypatch.setattr(Conv3D, "backward", dropping_backward)
+        out_dir = tmp_path / "run"
+        code = run(["train", "--task", "synth", "--arch", "broad-unet",
+                    "--f0", "1", "--hw", "16", "--lags", "2", "--train-n", "8",
+                    "--val-n", "3", "--test-n", "3", "--epochs", "1",
+                    "--batch", "4", "--out-dir", str(out_dir)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.splitlines() == [
+            "error: parameter enc0.merge.b has no gradient"]
+        assert "Traceback" not in err
+        assert not (out_dir / "checkpoint.btar").exists()
 
     def test_precip_test_mse_is_denormalized(self, tmp_path):
         raw, clean = str(tmp_path / "raw.btar"), str(tmp_path / "clean.btar")

@@ -221,6 +221,21 @@ class TestConvBackward:
         layer.backward(np.ones_like(y))
         assert layer._tape is None
 
+    def test_layer_gradients_accumulate_until_zeroed(self):
+        layer = Conv3D(ConvSpec((1, 3, 3), 1, 2))
+        layer.init_params(np.random.default_rng(0), dtype=np.float64)
+        x = np.random.default_rng(1).standard_normal((1, 4, 4, 1))
+        grads = []
+        for scale in (1.0, 2.0):
+            y = layer.forward(x, train=True)
+            layer.backward(np.full_like(y, scale))
+            grads.append({k: g.copy() for k, g in layer.grads.items()})
+        assert set(grads[0]) == {"w", "b"}
+        for key in ("w", "b"):
+            np.testing.assert_allclose(grads[1][key], 3 * grads[0][key])
+        layer.zero_grads()
+        assert layer.grads == {}
+
 
 @pytest.fixture
 def block_rows(monkeypatch):
@@ -630,7 +645,8 @@ class TestTape:
 
     def _layer_and_input(self, kind):
         layer = TAPED_LAYERS[kind]()
-        layer.init_params(np.random.default_rng(0), dtype=np.float64)
+        for _, conv in layer.convs():
+            conv.init_params(np.random.default_rng(0), dtype=np.float64)
         return layer, np.random.default_rng(1).standard_normal((2, 4, 4, 2))
 
     @pytest.mark.parametrize("kind", sorted(TAPED_LAYERS))

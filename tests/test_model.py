@@ -14,7 +14,6 @@ from broadunet.model import (
     ModelConfig,
     build_broad_unet,
     build_plain_unet,
-    count_params,
     dump_feature_maps,
     mini_config,
     persistence_predict,
@@ -38,8 +37,7 @@ class TestConfig:
         # the ASPP is built at the bottleneck width; no setting can change it
         aspp = dict(build_broad_unet(mini_config(base_filters=3))
                     .root.children())["aspp"]
-        convs = [(name, layer.spec) for name, layer in aspp.walk()
-                 if isinstance(layer, Conv3D)]
+        convs = [(name, conv.spec) for name, conv in aspp.convs()]
         assert {spec.out_channels for _, spec in convs} == {48}
         assert {spec.in_channels for name, spec in convs
                 if name != "merge"} == {48}
@@ -109,6 +107,26 @@ class TestShapeContract:
 
 
 class TestParameterAccounting:
+    @pytest.mark.parametrize("builder", [build_broad_unet, build_plain_unet])
+    def test_only_convs_own_parameters(self, builder):
+        model = builder(mini_config()).initialize(seed=4)
+        layers = reachable_layers(model.root)
+        owners = [layer for layer in layers
+                  if {"params", "grads"} & vars(layer).keys()]
+        assert owners == [layer for layer in layers
+                          if isinstance(layer, Conv3D)]
+        walked = [(name, layer) for name, layer in model.root.walk()
+                  if isinstance(layer, Conv3D)]
+        assert list(model.root.convs()) == walked
+        assert list(model.named_params()) == [
+            f"{name}.{key}" for name, conv in walked for key in conv.params]
+        x = np.random.default_rng(4).random((2, 16, 16, 1), dtype=np.float32)
+        y = model.forward(x, train=True, rng=np.random.default_rng(5))
+        model.backward(np.ones_like(y))
+        assert set(model.named_grads()) == set(model.named_params())
+        model.zero_grads()
+        assert all(conv.grads == {} for _, conv in walked)
+
     def test_single_pointwise_conv(self):
         from broadunet.layers import Conv3D, ConvSpec
         conv = Conv3D(ConvSpec((1, 1, 1), 1, 1))
@@ -122,7 +140,7 @@ class TestParameterAccounting:
     ])
     def test_matches_closed_form_oracle(self, builder, kwargs):
         model = builder(mini_config(**kwargs))
-        total, table = count_params(model)
+        total, table = model.count_params()
         assert total == closed_form_conv_params(model.conv_specs())
         assert total == sum(n for _, n in table)
 
@@ -130,31 +148,31 @@ class TestParameterAccounting:
         cfg = mini_config()
         a = build_broad_unet(cfg)
         b = build_broad_unet(cfg).initialize(seed=99)
-        assert count_params(a)[0] == count_params(b)[0]
-        assert count_params(b)[0] == sum(
+        assert a.count_params()[0] == b.count_params()[0]
+        assert b.count_params()[0] == sum(
             p.size for p in b.named_params().values())
 
     def test_factorized_strictly_smaller(self):
         for f0 in (1, 2, 4):
-            fact = count_params(build_broad_unet(mini_config(
-                base_filters=f0)))[0]
-            full = count_params(build_broad_unet(mini_config(
-                base_filters=f0, factorized=False)))[0]
+            fact = build_broad_unet(mini_config(
+                base_filters=f0)).count_params()[0]
+            full = build_broad_unet(mini_config(
+                base_filters=f0, factorized=False)).count_params()[0]
             assert fact < full
 
     def test_default_architecture_ratio(self):
         base = dict(lags=12, height=288, width=288, features=1,
                     base_filters=64)
-        fact = count_params(build_broad_unet(ModelConfig(**base)))[0]
-        full = count_params(build_broad_unet(ModelConfig(
-            factorized=False, **base)))[0]
+        fact = build_broad_unet(ModelConfig(**base)).count_params()[0]
+        full = build_broad_unet(ModelConfig(
+            factorized=False, **base)).count_params()[0]
         assert 0.30 <= fact / full <= 0.50
 
     def test_plain_unet_smaller_than_broad(self):
         cfg = ModelConfig(lags=12, height=288, width=288, features=1,
                           base_filters=64)
-        assert count_params(build_plain_unet(cfg))[0] < \
-            count_params(build_broad_unet(cfg))[0]
+        assert build_plain_unet(cfg).count_params()[0] < \
+            build_broad_unet(cfg).count_params()[0]
 
 
 class TestPredict:
@@ -295,8 +313,7 @@ class TestConvTapesKeepTheirInputs:
         t = rng.random((1, 16, 16, 1), dtype=np.float32)
         y = model.forward(x, train=True, rng=np.random.default_rng(12))
         loss_mse(y, t)
-        convs = [(name, layer) for name, layer in model.root.walk()
-                 if isinstance(layer, Conv3D)]
+        convs = list(model.root.convs())
         assert len(calls) == len(convs)
         for name, conv in convs:
             tape, before = calls[id(conv._tape)]

@@ -104,17 +104,21 @@ class TestAdam:
         before = [{k: a.copy() for k, a in d.items()}
                   for d in (params, state.m, state.v)]
         # "b" comes before "c" in parameter order, so it is the one named
-        with pytest.raises(ValueError, match="parameter b has no gradient"):
+        with pytest.raises(RuntimeError, match="parameter b has no gradient"):
             adam_step(params, {"w": np.ones(1)}, state, lr=0.1)
         for old, new in zip(before, (params, state.m, state.v)):
             assert all(np.array_equal(old[k], new[k]) for k in params)
         assert state.t == 1
 
     def test_shape_mismatch(self):
-        params = {"w": np.zeros(2)}
+        params = {"w": np.zeros(2), "b": np.zeros(1)}
         state = AdamState.for_params(params)
-        with pytest.raises(ValueError):
-            adam_step(params, {"w": np.zeros(3)}, state, lr=0.1)
+        with pytest.raises(RuntimeError, match="gradient shape mismatch for b"):
+            adam_step(params, {"w": np.ones(2), "b": np.ones(3)}, state, lr=0.1)
+        # "w" comes first and its gradient is fine, yet nothing moved
+        for d in (params, state.m, state.v):
+            assert not any(a.any() for a in d.values())
+        assert state.t == 0
 
     def test_converges_on_quadratic(self):
         params = {"p": np.array([-4.0])}
