@@ -15,10 +15,9 @@ if _threads:
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         _os.environ.setdefault(_var, _threads)
 
-from .tensor import ShapeError
 from .archive import FormatError
 from .datapipe import DataError
 
 __version__ = "0.1.0"
 
-__all__ = ["ShapeError", "FormatError", "DataError", "__version__"]
+__all__ = ["FormatError", "DataError", "__version__"]

@@ -11,6 +11,7 @@ the configuration, seed, wall time, peak RSS and artifact checksums.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -33,13 +34,13 @@ from .layers import (
 )
 from .model import (
     ARCHS,
+    DIVISOR,
     Model,
     ModelConfig,
     dump_feature_maps,
     mini_config,
     persistence_predict,
 )
-from .tensor import ShapeError
 
 EVAL_COLUMNS = "horizon_minutes,mse,mse_binarized,accuracy,precision,recall"
 
@@ -157,15 +158,30 @@ def _load_or_synth_samples(args):
     return datapipe.make_samples(seq, args.lags, args.horizon)
 
 
+def _missing_dirs(path) -> list:
+    """The directories that `os.makedirs(path)` would make, deepest first."""
+    missing, path = [], os.path.abspath(path)
+    while not os.path.exists(path):
+        missing.append(path)
+        path = os.path.dirname(path)
+    return missing
+
+
 def cmd_train(args):
     checkpoint = os.path.join(args.out_dir, "checkpoint.btar")
+    # training checkpoints its best epoch here; it becomes `checkpoint` only
+    # once the whole run has succeeded
+    staged = checkpoint + ".tmp"
     train_cfg = training.TrainConfig(
         loss=args.loss, learning_rate=args.lr, batch_size=args.batch,
-        max_epochs=args.epochs, seed=args.seed, checkpoint_path=checkpoint)
+        max_epochs=args.epochs, seed=args.seed, checkpoint_path=staged)
     samples = _load_or_synth_samples(args)
     train_set, val_set, test_set = datapipe.split_counts(
         samples, args.train_n, args.val_n, args.test_n)
     _, lags, h, w, f = train_set.inputs.shape
+    if args.samples and (h % DIVISOR or w % DIVISOR):
+        raise DataError(f"samples in {args.samples} have {h}x{w} frames; the "
+                        f"network takes H and W divisible by {DIVISOR}")
     # the manifest records the values the samples set, not ignored flags
     args.lags, args.horizon, args.hw = lags, samples.horizon, h if h == w else None
     if args.samples:
@@ -175,15 +191,26 @@ def cmd_train(args):
                       base_filters=args.f0, factorized=args.factorized,
                       dropout_rate=args.dropout, head=head)
     model = ARCHS[args.arch](cfg).initialize(seed=args.seed)
-    # every usage error above is raised before anything is written
+    # every usage error above is raised before anything is written; a
+    # failure below removes what the run wrote and the directories it made
+    made = _missing_dirs(args.out_dir)
     os.makedirs(args.out_dir, exist_ok=True)
-    result = training.train(model, train_set, val_set, train_cfg)
     history_path = os.path.join(args.out_dir, "history.csv")
-    training.save_history_csv(result.history, history_path)
-    best = Model.load(checkpoint)
-    # test MSE in the frames' own units, as `eval` scores it
-    report = training.evaluate(best, test_set)
-    baseline = training.evaluate(persistence_predict, test_set)
+    try:
+        result = training.train(model, train_set, val_set, train_cfg)
+        best = Model.load(staged)
+        # test MSE in the frames' own units, as `eval` scores it
+        report = training.evaluate(best, test_set)
+        baseline = training.evaluate(persistence_predict, test_set)
+        training.save_history_csv(result.history, history_path)
+        os.replace(staged, checkpoint)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(staged)
+        with contextlib.suppress(OSError):  # stop at one that is not empty
+            for directory in made:
+                os.rmdir(directory)
+        raise
     print(f"best epoch {result.best_epoch}: val loss {result.best_val_loss:.6g}")
     print(f"test mse {report.mse:.6g} (persistence {baseline.mse:.6g})")
     return [checkpoint, history_path], {
@@ -420,7 +447,7 @@ def run(argv) -> int:
     except (FormatError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ShapeError, ValueError, KeyError) as exc:
+    except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

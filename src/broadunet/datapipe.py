@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .archive import archive_load, archive_save, json_record, read_json_record
-from .tensor import ShapeError
 
 PRECIP_RAW_SHAPE = (765, 700)
 PRECIP_CROP = 288
@@ -35,7 +34,7 @@ class FrameSequence:
     def __post_init__(self):
         self.frames = np.asarray(self.frames)
         if self.frames.ndim != 4:
-            raise ShapeError(f"frames must be (N, H, W, C), got {self.frames.shape}")
+            raise ValueError(f"frames must be (N, H, W, C), got {self.frames.shape}")
         if self.cadence_minutes <= 0:
             raise ValueError("cadence must be positive")
 
@@ -93,7 +92,7 @@ def precip_preprocess(seq: FrameSequence, rain_fraction: float,
         raise ValueError(f"rain fraction must be in [0, 1], got {rain_fraction}")
     frames = seq.frames
     if frames.shape[1:3] != PRECIP_RAW_SHAPE or frames.shape[3] != 1:
-        raise ShapeError(
+        raise DataError(
             f"expected (N, 765, 700, 1) radar frames, got {frames.shape}")
     r0 = (PRECIP_RAW_SHAPE[0] - PRECIP_CROP) // 2
     c0 = (PRECIP_RAW_SHAPE[1] - PRECIP_CROP) // 2
@@ -138,7 +137,7 @@ def cloud_preprocess(seq: FrameSequence, lats: np.ndarray,
     lats = np.asarray(lats, dtype=np.float64)
     lons = np.asarray(lons, dtype=np.float64)
     if lats.shape != (frames.shape[1],) or lons.shape != (frames.shape[2],):
-        raise ShapeError("lats/lons must match the frame grid")
+        raise DataError("lats/lons must match the frame grid")
     upper, lower, left, right = CLOUD_BBOX
     rows = np.flatnonzero((lats >= lower) & (lats <= upper))
     cols = np.flatnonzero((lons >= left) & (lons <= right))

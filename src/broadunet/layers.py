@@ -17,8 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ShapeError
-
 
 # ---------------------------------------------------------------------------
 # Convolution specification
@@ -67,7 +65,7 @@ class ConvSpec:
             return tuple(extents)
         out = tuple(e - (eff - 1) for e, eff in zip(extents, self.effective_extent))
         if any(o < 1 for o in out):
-            raise ShapeError(
+            raise ValueError(
                 f"effective kernel {self.effective_extent} exceeds input "
                 f"extents {tuple(extents)} under valid padding"
             )
@@ -396,7 +394,7 @@ class Conv3D(Layer):
 
     def out_shape(self, shape):
         if len(shape) != 4:
-            raise ShapeError(f"conv input must be rank 4, got {shape}")
+            raise ValueError(f"conv input must be rank 4, got {shape}")
         if shape[3] != self.spec.in_channels:
             raise ValueError(
                 f"expected {self.spec.in_channels} channels, got {shape[3]}")
@@ -460,7 +458,7 @@ class Parallel(Layer):
     def out_shape(self, shape):
         shapes = [b.out_shape(shape) for _, b in self.named_branches]
         if any(s[:-1] != shapes[0][:-1] for s in shapes):
-            raise ShapeError(f"branch outputs differ beyond channels: {shapes}")
+            raise ValueError(f"branch outputs differ beyond channels: {shapes}")
         return (*shapes[0][:-1], sum(s[-1] for s in shapes))
 
     def forward(self, x, train=False, rng=None):
@@ -500,7 +498,7 @@ class MaxPoolSpatial(Layer):
     def out_shape(self, shape):
         t, h, w, c = shape
         if h % 2 or w % 2:
-            raise ShapeError(f"H and W must be even for 2x2 pooling, got {h}x{w}")
+            raise ValueError(f"H and W must be even for 2x2 pooling, got {h}x{w}")
         return (t, h // 2, w // 2, c)
 
     def forward(self, x, train=False, rng=None):

@@ -27,9 +27,10 @@ from .layers import (
     Sequential,
     UpsampleNearestSpatial,
 )
-from .tensor import ShapeError
 
 LEVELS = 5
+# H and W must be multiples of this: each level below the top pools 2x2
+DIVISOR = 2 ** (LEVELS - 1)
 
 
 @dataclass(frozen=True)
@@ -47,10 +48,9 @@ class ModelConfig:
         if min(self.lags, self.height, self.width, self.features,
                self.base_filters) < 1:
             raise ValueError("lags, extents, features and base_filters must be positive")
-        divisor = 2 ** (LEVELS - 1)
-        if self.height % divisor or self.width % divisor:
-            raise ShapeError(
-                f"H and W must be divisible by {divisor}, got "
+        if self.height % DIVISOR or self.width % DIVISOR:
+            raise ValueError(
+                f"H and W must be divisible by {DIVISOR}, got "
                 f"{self.height}x{self.width}")
         if self.head not in ("regression", "binary"):
             raise ValueError(f"head must be 'regression' or 'binary', got {self.head!r}")
@@ -207,8 +207,10 @@ class Model:
 
     def set_param(self, name: str, value: np.ndarray) -> None:
         conv, key = self._param_owners[name]
-        if tuple(value.shape) != tuple(conv.param_shapes()[key]):
-            raise ValueError(f"shape mismatch for {name}")
+        shape = conv.param_shapes()[key]
+        if value.shape != shape:
+            raise ValueError(f"record {name} has shape {value.shape}, the "
+                             f"architecture needs {shape}")
         conv.params[key] = value
 
     def zero_grads(self) -> None:
@@ -279,7 +281,7 @@ class Model:
                 model.set_param(name, records[name].astype(dtype, copy=False))
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(
-                f"bad checkpoint manifest in {path}: "
+                f"bad checkpoint {path}: "
                 f"{type(exc).__name__}: {exc}") from exc
         missing = [name for name, (conv, key) in model._param_owners.items()
                    if key not in conv.params]

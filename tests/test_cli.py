@@ -144,7 +144,8 @@ class TestExitCodes:
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("flag,value", [
-        ("--dropout", "1.5"), ("--f0", "0"), ("--hw", "20"), ("--train-n", "0"),
+        ("--dropout", "1.5"), ("--f0", "0"), ("--hw", "20"), ("--hw", "24"),
+        ("--train-n", "0"),
     ])
     def test_bad_model_or_split_writes_nothing(self, tmp_path, capsys, flag,
                                                value):
@@ -320,6 +321,9 @@ class TestTrain:
         assert manifest["seed"] == 0
         assert "test_mse" in manifest
         assert "persistence_test_mse" in manifest
+        # the staged checkpoint became checkpoint.btar; no temp file is left
+        assert sorted(os.listdir(run_dir)) == [
+            "checkpoint.btar", "history.csv", "run-manifest.json"]
 
     @pytest.mark.parametrize("w,hw", [(16, 16), (32, None)])
     def test_manifest_records_the_samples_values(self, tmp_path, w, hw):
@@ -376,7 +380,26 @@ class TestTrain:
                     "--lr", "1e6", "--out-dir", str(out_dir)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: training diverged in epoch 1")
-        assert not (out_dir / "checkpoint.btar").exists()
+        # the directory train made is gone again
+        assert os.listdir(tmp_path) == []
+
+    def test_divergence_keeps_the_files_already_there(self, tmp_path, capsys):
+        # the run diverges after a best epoch has been checkpointed
+        out_dir = tmp_path / "run"
+        out_dir.mkdir()
+        (out_dir / "checkpoint.btar").write_bytes(b"old!")
+        (out_dir / "history.csv").write_bytes(b"epoch\n")
+        before = _tree(tmp_path)
+        capsys.readouterr()
+        assert run(["train", "--task", "synth", "--hw", "16", "--train-n", "8",
+                    "--val-n", "4", "--test-n", "4", "--epochs", "8",
+                    "--batch", "4", "--lr", "0.3",
+                    "--out-dir", str(out_dir)]) == 3
+        err = capsys.readouterr().err
+        assert len(error_lines(err)) == 1 and "Traceback" not in err
+        epoch = int(err.split("diverged in epoch ")[1].split(":")[0])
+        assert epoch >= 2, err
+        assert _tree(tmp_path) == before
 
     def test_divergence_prints_no_numpy_warnings(self, tmp_path, capfd):
         # a child process shows stderr exactly as a user sees it, without
@@ -414,7 +437,7 @@ class TestTrain:
 
         monkeypatch.setattr(MultiScaleBlock, "__init__", recording_build)
         monkeypatch.setattr(Conv3D, "backward", dropping_backward)
-        out_dir = tmp_path / "run"
+        out_dir = tmp_path / "runs" / "run"
         code = run(["train", "--task", "synth", "--arch", "broad-unet",
                     "--f0", "1", "--hw", "16", "--lags", "2", "--train-n", "8",
                     "--val-n", "3", "--test-n", "3", "--epochs", "1",
@@ -424,7 +447,8 @@ class TestTrain:
         assert err.splitlines() == [
             "error: parameter enc0.merge.b has no gradient"]
         assert "Traceback" not in err
-        assert not (out_dir / "checkpoint.btar").exists()
+        # both directories train made are gone again
+        assert os.listdir(tmp_path) == []
 
     def test_precip_test_mse_is_denormalized(self, tmp_path):
         raw, clean = str(tmp_path / "raw.btar"), str(tmp_path / "clean.btar")
@@ -697,6 +721,19 @@ class TestPredict:
         assert code == 2
         assert err.startswith("error: ") and name in err
 
+    def test_parameter_of_wrong_shape_names_both_shapes(
+            self, workspace, faulty_inputs, tmp_path, capsys):
+        bad = faulty_inputs[1]["wrong_shape_checkpoint"]
+        right = archive_load(workspace["checkpoint"])["enc0.merge.w"].shape
+        wrong = archive_load(bad)["enc0.merge.w"].shape
+        capsys.readouterr()
+        assert run(["predict", "--checkpoint", bad,
+                    "--samples", workspace["samples"],
+                    "--out", str(tmp_path / "x.pgm")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: bad checkpoint {bad}: ValueError: record enc0.merge.w "
+            f"has shape {wrong}, the architecture needs {right}\n")
+
     def test_samples_name_not_utf8_is_data_error(self, workspace, tmp_path,
                                                   capsys):
         with open(workspace["samples"], "rb") as f:
@@ -732,6 +769,12 @@ class TestParams:
         assert run(["params", "--arch", "broad-unet"]) == 0
         out = capsys.readouterr().out
         assert "output\t(1, 288, 288, 1)" in out
+
+    def test_extent_not_divisible_is_usage_error(self, capsys):
+        assert run(["params", "--hw", "30"]) == 1
+        out, err = capsys.readouterr()
+        assert err == "error: H and W must be divisible by 16, got 30x30\n"
+        assert out == ""
 
 
 class TestWrongInputs:
@@ -783,6 +826,19 @@ class TestWrongInputs:
         assert err.startswith("error: ")
         assert lags3 in err and workspace["checkpoint"] in err
         assert not (tmp_path / out_name).exists()
+
+    def test_samples_the_network_cannot_take(self, faulty_inputs, tmp_path,
+                                             capsys):
+        # a samples file fixes the frame size, so this is bad data; the same
+        # size given as --hw is a usage error (TestExitCodes)
+        samples = faulty_inputs[1]["wrong_extent_samples"]
+        code, err = self._run(capsys, [
+            "train", "--samples", samples, "--train-n", "4", "--val-n", "2",
+            "--test-n", "2", "--out-dir", str(tmp_path / "run")])
+        assert code == 2
+        assert err == (f"error: samples in {samples} have 24x24 frames; the "
+                       f"network takes H and W divisible by 16\n")
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("edit", [
         # 15 frames hold no window of lags 2, horizon 1 once cut to 2, nor
@@ -1170,6 +1226,37 @@ def faulty_inputs(workspace, raw_radar, tmp_path_factory):
             records[name] = edit(records[name])
             paths[f"{fault}_{kind}"] = str(root / f"{fault}_{kind}.btar")
             archive_save(paths[f"{fault}_{kind}"], records)
+    # a second record named 'metadata', written under another name first
+    records = archive_load(workspace["samples"])
+    renamed = root / "renamed.btar"
+    archive_save(renamed, {**records, "metadatX": records["metadata"]})
+    paths["duplicate_record_samples"] = str(root / "duplicate_record.btar")
+    with open(paths["duplicate_record_samples"], "wb") as f:
+        f.write(renamed.read_bytes().replace(b"metadatX", b"metadata"))
+    records = archive_load(workspace["checkpoint"])
+    records["enc0.merge.w"] = records["enc0.merge.w"][..., :1, :]
+    paths["wrong_shape_checkpoint"] = str(root / "wrong_shape_checkpoint.btar")
+    archive_save(paths["wrong_shape_checkpoint"], records)
+    # samples of frames no network takes, and raw radar frames all dry
+    paths["wrong_extent_samples"] = str(root / "wrong_extent_samples.btar")
+    datapipe.save_samples(paths["wrong_extent_samples"], datapipe.make_samples(
+        datapipe.synth_advection(datapipe.SynthConfig(24, 24, n_frames=12)),
+        lags=2, horizon=1))
+    seq = load_frames(raw_radar)
+    paths["all_dry_raw"] = str(root / "all_dry_raw.btar")
+    datapipe.save_frames(paths["all_dry_raw"],
+                         dataclasses.replace(seq, frames=0 * seq.frames))
+    # cloud labels, with lats/lons that are absent, off the frame grid, or
+    # outside the bounding box
+    cloud = {"frames": np.random.default_rng(3).integers(
+                 1, 16, (2, 20, 24, 1)).astype(np.float32),
+             "cadence_minutes": np.asarray([15.0])}
+    lats, lons = np.linspace(53, 40, 20), np.linspace(-7, 11, 24)
+    for fault, geo in [("no_geolocation", {}),
+                       ("off_grid", {"lats": lats, "lons": lons[:-1]}),
+                       ("empty_bbox", {"lats": lats + 20, "lons": lons})]:
+        paths[f"{fault}_cloud"] = str(root / f"{fault}_cloud.btar")
+        archive_save(paths[f"{fault}_cloud"], {**cloud, **geo})
     return root, paths
 
 
@@ -1187,7 +1274,9 @@ def _model_command(command, flag, out, fault):
     samples = {"truncated_input": "{truncated_samples}",
                "nan_payload": "{nan_samples}",
                "bad_metadata": "{bad_metadata_samples}",
-               "wrong_dtype": "{wrong_dtype_samples}"}.get(fault, "{samples}")
+               "wrong_dtype": "{wrong_dtype_samples}",
+               "duplicate_record": "{duplicate_record_samples}"}.get(
+                   fault, "{samples}")
     if fault == "missing_dir":
         out = out.replace("{out}", "{out}/absent")
     return (fault, [command, "--checkpoint", checkpoint, "--samples", samples,
@@ -1207,6 +1296,14 @@ FAULT_MATRIX = [
     *((fault, [*_PRECIP, "--frames", f"{{{fault}_frames}}",
                "--out", "{out}/c.btar"], 2)
       for fault in ["bad_metadata", "wrong_dtype"]),
+    # the workspace frames are 16x16, not the radar's raw 765x700
+    ("wrong_extent", [*_PRECIP, "--frames", "{frames}",
+                      "--out", "{out}/c.btar"], 2),
+    ("all_dry", ["preprocess", "--task", "precip", "--rain-fraction", "0",
+                 "--frames", "{all_dry_raw}", "--out", "{out}/c.btar"], 2),
+    *((fault, ["preprocess", "--task", "cloud", "--frames",
+               f"{{{fault}_cloud}}", "--out", "{out}/c.btar"], 2)
+      for fault in ["no_geolocation", "off_grid", "empty_bbox"]),
     *((fault, ["make-samples", "--frames", frames, "--lags", "2",
                "--out", out], 2)
       for fault, frames, out in [
@@ -1229,21 +1326,24 @@ FAULT_MATRIX = [
       for fault in [*faults, "truncated_input", "truncated_checkpoint",
                     "nan_payload", "nan_checkpoint", "bad_metadata",
                     "bad_metadata_checkpoint", "wrong_dtype",
-                    "wrong_dtype_checkpoint"]),
+                    "wrong_dtype_checkpoint", "duplicate_record",
+                    "wrong_shape_checkpoint"]),
 ]
 
 
-def _files(*roots):
-    """Every file under `roots`, with its bytes' digest."""
-    return {os.path.join(d, name): hashlib.sha256(
+def _tree(*roots):
+    """Every file under `roots`, with its bytes' digest, and every
+    directory, with None."""
+    return {os.path.join(d, name): None if name in dirs else hashlib.sha256(
                 open(os.path.join(d, name), "rb").read()).hexdigest()
-            for root in roots for d, _, names in os.walk(root)
-            for name in names}
+            for root in roots for d, dirs, names in os.walk(root)
+            for name in [*dirs, *names]}
 
 
 class TestFaultMatrix:
     """Each artifact-writing subcommand under each fault that applies to
-    it exits 1, 2 or 3 with one error line, and writes nothing."""
+    it exits 1, 2 or 3 with one error line, and writes nothing: no file
+    and no directory."""
 
     @pytest.mark.parametrize(
         "fault,argv,code", FAULT_MATRIX,
@@ -1254,10 +1354,10 @@ class TestFaultMatrix:
         argv = [arg.format(out=tmp_path, **paths) for arg in argv]
         if "missing_dir" in fault:
             assert not os.path.exists(tmp_path / "absent")
-        before = _files(root, tmp_path)
+        before = _tree(root, tmp_path)
         capsys.readouterr()
         assert run(argv) == code
         out, err = capsys.readouterr()
         assert len(error_lines(err)) == 1, err
         assert "Traceback" not in out + err
-        assert _files(root, tmp_path) == before
+        assert _tree(root, tmp_path) == before

@@ -26,7 +26,6 @@ from broadunet.datapipe import (
     synth_advection,
 )
 from broadunet.pgm import read_pgm, write_pgm
-from broadunet.tensor import ShapeError
 
 
 def raw_archive(name: bytes, dims, payload=b"", code=1) -> bytes:
@@ -302,7 +301,7 @@ class TestPgm:
 
 class TestFrameSequence:
     def test_rank_enforced(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ValueError, match=r"frames must be \(N, H, W, C\)"):
             FrameSequence(np.zeros((4, 8, 8)), cadence_minutes=5)
 
     def test_cadence_positive(self):
@@ -360,7 +359,7 @@ class TestPrecipPreprocess:
             precip_preprocess(seq, rain_fraction=0.1)
 
     def test_wrong_raw_shape(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(DataError, match=r"expected \(N, 765, 700, 1\)"):
             precip_preprocess(FrameSequence(np.zeros((1, 288, 288, 1)), 5), 0.0)
 
 
@@ -412,7 +411,7 @@ class TestCloudPreprocess:
     def test_mismatched_geolocation(self):
         lats, lons = self._grid()
         frames = np.full((1, 40, 50, 1), 7.0)
-        with pytest.raises(ShapeError):
+        with pytest.raises(DataError, match="lats/lons must match"):
             cloud_preprocess(FrameSequence(frames, 15), lats[:-1], lons)
 
 

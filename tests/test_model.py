@@ -18,7 +18,6 @@ from broadunet.model import (
     mini_config,
     persistence_predict,
 )
-from broadunet.tensor import ShapeError
 from broadunet.training import loss_mse
 
 from conftest import closed_form_conv_params, zero_all_params
@@ -26,7 +25,7 @@ from conftest import closed_form_conv_params, zero_all_params
 
 class TestConfig:
     def test_divisibility_enforced(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ValueError, match="divisible by 16, got 24x32"):
             ModelConfig(lags=2, height=24, width=32, features=1)
 
     def test_channel_plan_doubles(self):
