@@ -90,13 +90,23 @@ def read_json_record(arr, what):
         raise FormatError(f"{what} is not UTF-8 JSON: {exc}") from exc
 
 
+@contextlib.contextmanager
+def _naming(path):
+    """A FormatError raised in the block is raised again with `path` first."""
+    try:
+        yield
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+
+
 def archive_load(path) -> dict:
-    """Read all records from `path`; raises FormatError on malformed input.
+    """Read all records from `path`; raises FormatError, naming `path`, on
+    malformed input.
 
     Each payload is checked against the file size, then read straight into
     its own fresh array.
     """
-    with open(path, "rb") as f:
+    with open(path, "rb") as f, _naming(path):
         size = os.fstat(f.fileno()).st_size
         offset = 0
 

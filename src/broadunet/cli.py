@@ -125,13 +125,18 @@ def cmd_synth_gen(args):
 def cmd_preprocess(args):
     records = datapipe.archive_load(args.frames)
     seq = datapipe.frames_from_records(records, args.frames)
-    if args.task == "precip":
-        out = datapipe.precip_preprocess(seq, args.rain_fraction,
-                                         args.train_fraction)
-    else:
-        if "lats" not in records or "lons" not in records:
-            raise DataError("cloud preprocessing needs 'lats'/'lons' records")
-        out = datapipe.cloud_preprocess(seq, records["lats"], records["lons"])
+    try:
+        if args.task == "precip":
+            out = datapipe.precip_preprocess(seq, args.rain_fraction,
+                                             args.train_fraction)
+        else:
+            if "lats" not in records or "lons" not in records:
+                raise DataError(
+                    "cloud preprocessing needs 'lats'/'lons' records")
+            out = datapipe.cloud_preprocess(seq, records["lats"],
+                                            records["lons"])
+    except DataError as exc:
+        raise DataError(f"frames archive {args.frames}: {exc}") from None
     datapipe.save_frames(args.out, out)
     print(f"kept {len(out)} frames -> {args.out}")
     return [args.out], {"metadata": out.metadata}
@@ -200,7 +205,7 @@ def cmd_train(args):
         result = training.train(model, train_set, val_set, train_cfg)
         best = Model.load(staged)
         # test MSE in the frames' own units, as `eval` scores it
-        report = training.evaluate(best, test_set)
+        report = training.evaluate(best.predict, test_set)
         baseline = training.evaluate(persistence_predict, test_set)
         training.save_history_csv(result.history, history_path)
         os.replace(staged, checkpoint)
@@ -291,10 +296,10 @@ def cmd_grad_check(args):
         arch, _, binary = args.arch.partition("-mini")
         cfg = mini_config(head="binary" if binary else "regression")
         model = ARCHS[arch](cfg).initialize(seed=args.seed, dtype=np.float64)
-        checks = [(args.arch, model, None)]
+        checks = [(args.arch, model.root, model.input_shape())]
     failed = False
-    for name, target, shape in checks:
-        report = training.grad_check(target, in_shape=shape, tol=args.tol,
+    for name, layer, shape in checks:
+        report = training.grad_check(layer, shape, tol=args.tol,
                                      seed=args.seed)
         status = "pass" if report.passed else "FAIL"
         print(f"{status} {name}: max rel err {report.max_rel_error:.3e} "

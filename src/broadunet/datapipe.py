@@ -137,7 +137,9 @@ def cloud_preprocess(seq: FrameSequence, lats: np.ndarray,
     lats = np.asarray(lats, dtype=np.float64)
     lons = np.asarray(lons, dtype=np.float64)
     if lats.shape != (frames.shape[1],) or lons.shape != (frames.shape[2],):
-        raise DataError("lats/lons must match the frame grid")
+        raise DataError(f"lats/lons must match the frame grid: lats "
+                        f"{lats.shape} and lons {lons.shape} for frames "
+                        f"{frames.shape}")
     upper, lower, left, right = CLOUD_BBOX
     rows = np.flatnonzero((lats >= lower) & (lats <= upper))
     cols = np.flatnonzero((lons >= left) & (lons <= right))

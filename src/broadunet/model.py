@@ -15,7 +15,7 @@ import numpy as np
 
 from .archive import (FormatError, archive_load, archive_save, json_record,
                       read_json_record)
-from .blocks import ASPP_RATES, BRANCH_SIZES, Aspp, MultiScaleBlock
+from .blocks import BRANCH_SIZES, Aspp, MultiScaleBlock
 from .layers import (
     Activation,
     Conv3D,
@@ -60,20 +60,6 @@ class ModelConfig:
     @property
     def channel_plan(self) -> list:
         return [self.base_filters * 2 ** i for i in range(LEVELS)]
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        d = dict(d)
-        # checkpoints written while the ASPP was configurable record it; its
-        # parameter names and shapes catch any other ASPP except a reordering
-        # of the same rates, which only changes the concat order
-        aspp = d.pop("aspp", None)
-        if aspp is not None and tuple(aspp["dilation_rates"]) != ASPP_RATES:
-            raise ValueError(f"unsupported ASPP rates {aspp['dilation_rates']}")
-        return cls(**d)
 
 
 def mini_config(lags=2, height=16, width=16, features=1, base_filters=2,
@@ -225,8 +211,8 @@ class Model:
         c = self.config
         return (c.lags, c.height, c.width, c.features)
 
-    def out_shape(self, in_shape=None) -> tuple:
-        return self.root.out_shape(in_shape or self.input_shape())
+    def out_shape(self) -> tuple:
+        return self.root.out_shape(self.input_shape())
 
     def forward(self, x, train=False, rng=None):
         if not self.initialized:
@@ -259,7 +245,7 @@ class Model:
         params = self.named_params()
         manifest = {
             "arch": self.arch,
-            "config": self.config.to_dict(),
+            "config": asdict(self.config),
             "elem_type": {"float32": "f32", "float64": "f64"}[self.dtype.name],
             "param_names": list(params.keys()),
         }
@@ -274,7 +260,7 @@ class Model:
         try:
             manifest = read_json_record(records.pop("__manifest__"),
                                         "the '__manifest__' record")
-            cfg = ModelConfig.from_dict(manifest["config"])
+            cfg = ModelConfig(**manifest["config"])
             model = ARCHS[manifest["arch"]](cfg)
             dtype = {"f32": np.float32, "f64": np.float64}[manifest["elem_type"]]
             for name in manifest["param_names"]:

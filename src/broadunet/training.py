@@ -133,8 +133,6 @@ def train(model, train_set, val_set, cfg: TrainConfig) -> TrainResult:
             raise ValueError(f"sample shape {part.inputs.shape[1:]} does not "
                              f"match the model's {model.input_shape()}")
     loss_fn = LOSSES[cfg.loss]
-    if not model.initialized:
-        model.initialize(seed=cfg.seed)
     rng = np.random.default_rng(cfg.seed)
     params = model.named_params()
     state = AdamState.for_params(params)
@@ -206,15 +204,14 @@ def _ratio(num: int, den: int, other_den: int) -> float:
     return num / den
 
 
-def evaluate(predictor, test_set, threshold: float = 0.5) -> MetricsReport:
+def evaluate(predict, test_set, threshold: float = 0.5) -> MetricsReport:
     """MSE scaled by the set's `norm_factor`, plus pixelwise binary metrics.
 
-    `predictor` is a Model or any callable mapping input to prediction.
-    Confusion counts aggregate over all pixels of all samples.
+    `predict` maps an input window to its prediction, as `Model.predict`
+    does. Confusion counts aggregate over all pixels of all samples.
     """
     if len(test_set.inputs) == 0:
         raise ValueError("test set must be nonempty")
-    predict = predictor.predict if hasattr(predictor, "predict") else predictor
     denorm_factor = test_set.metadata.get("norm_factor", 1.0)
     sq_err = 0.0
     tp = fp = fn = tn = 0
@@ -254,43 +251,39 @@ class GradCheckReport:
     worst: str
 
 
-def grad_check(target, in_shape=None, tol=1e-4, step=1e-6, seed=0,
+def grad_check(layer, in_shape, tol=1e-4, step=1e-6, seed=0,
                max_input_coords=64, max_param_coords=200) -> GradCheckReport:
-    """Compare analytic gradients against central finite differences.
+    """Compare a layer's analytic gradients against central finite
+    differences on an input of shape `in_shape`.
 
-    `target` is a Layer (initialized here in f64 if needed) or an
-    initialized Model in f64; `in_shape` defaults to the model's input. The
-    scalar objective is sum(output * r) for a fixed random r. Every forward
-    runs in training mode on a freshly seeded rng, so dropout draws the same
-    mask each time and its backward is checked too. Relative error uses
-    max(|a|, |fd|, 1e-3 * grad_rms) as the denominator so near-zero
-    coordinates do not amplify rounding noise.
+    A layer whose convs are not all initialized is initialized here in f64;
+    any other layer must hold only f64 parameters. The scalar objective is
+    sum(output * r) for a fixed random r. Every forward runs in training
+    mode on a freshly seeded rng, so dropout draws the same mask each time
+    and its backward is checked too. Relative error uses max(|a|, |fd|,
+    1e-3 * grad_rms) as the denominator so near-zero coordinates do not
+    amplify rounding noise.
     """
     rng = np.random.default_rng(seed)
-    is_model = hasattr(target, "root")
-    root = target.root if is_model else target
-    if is_model:
-        if target.dtype != np.float64:
-            raise ValueError("gradient checks require an f64-initialized model")
-    elif any(not conv.params for _, conv in root.convs()):
+    convs = [conv for _, conv in layer.convs()]
+    if any(not conv.params for conv in convs):
         init_rng = np.random.default_rng(seed + 1)
-        for _, conv in root.convs():
+        for conv in convs:
             conv.init_params(init_rng, dtype=np.float64)
-    if in_shape is None:
-        if not is_model:
-            raise ValueError("a layer's gradient check needs in_shape")
-        in_shape = target.input_shape()
+    elif any(p.dtype != np.float64 for conv in convs
+             for p in conv.params.values()):
+        raise ValueError("gradient checks require f64 parameters")
     x = rng.standard_normal(in_shape)
 
     def fwd():
-        return root.forward(x, train=True, rng=np.random.default_rng(seed + 2))
+        return layer.forward(x, train=True, rng=np.random.default_rng(seed + 2))
 
     y = fwd()
     r = rng.standard_normal(y.shape)
-    root.zero_grads()
-    gx = root.backward(r.copy())
-    grads = root.named(lambda conv: conv.grads)
-    params = root.named(lambda conv: conv.params)
+    layer.zero_grads()
+    gx = layer.backward(r.copy())
+    grads = layer.named(lambda conv: conv.grads)
+    params = layer.named(lambda conv: conv.params)
 
     # pooled scale keeps the relative error meaningful at tiny gradients
     pool = [np.abs(gx).ravel()] + [np.abs(g).ravel() for g in grads.values()]

@@ -48,10 +48,10 @@ def test_criterion_1_shape_contract():
     # symbolic at full width: no weight or activation allocation
     full = build_broad_unet(ModelConfig(lags=12, height=288, width=288,
                                         features=1, base_filters=64))
-    shape_a = full.out_shape((12, 288, 288, 1))
+    shape_a = full.out_shape()
     alt = build_broad_unet(ModelConfig(lags=4, height=256, width=256,
                                        features=1, base_filters=64))
-    shape_b = alt.out_shape((4, 256, 256, 1))
+    shape_b = alt.out_shape()
     # one real f32 forward per geometry at reduced width
     ya = build_broad_unet(ModelConfig(
         lags=12, height=288, width=288, features=1, base_filters=1)
@@ -89,7 +89,7 @@ def test_criterion_2_gradient_correctness():
         assert rep.passed, f"{name}: {rep.max_rel_error:.3e} at {rep.worst}"
     model = build_broad_unet(mini_config()).initialize(seed=1,
                                                        dtype=np.float64)
-    rep = grad_check(model, tol=1e-4, seed=1)
+    rep = grad_check(model.root, model.input_shape(), tol=1e-4, seed=1)
     worst = max(worst, rep.max_rel_error)
     _report(2, "gradient correctness", rep.passed and worst < 1e-4,
             f"max relative error {worst:.3e} < 1e-4 "
@@ -134,13 +134,14 @@ def test_criterion_4_desk_scale_learning(tmp_path):
     samples = make_samples(seq, lags=lags, horizon=horizon)
     train_set, val_set, test_set = split_counts(samples, n_train, n_val, n_test)
     model = build_broad_unet(ModelConfig(lags=lags, height=32, width=32,
-                                         features=1, base_filters=4))
+                                         features=1, base_filters=4)
+                             ).initialize(seed=7)
     ckpt = str(tmp_path / "desk.btar")
     train(model, train_set, val_set, TrainConfig(
         loss="mse", learning_rate=1e-3, batch_size=8, max_epochs=15, seed=7,
         checkpoint_path=ckpt))
     best = Model.load(ckpt)
-    model_mse = evaluate(best, test_set, threshold=0.5).mse
+    model_mse = evaluate(best.predict, test_set, threshold=0.5).mse
     persist_mse = evaluate(persistence_predict, test_set, threshold=0.5).mse
     ok = model_mse < persist_mse
     _report(4, "desk-scale learning", ok,

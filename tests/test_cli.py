@@ -470,7 +470,7 @@ class TestTrain:
         best = Model.load(str(run_dir / "checkpoint.btar"))
         test_set = windows.subset(np.s_[2:3])
         unscaled = dataclasses.replace(test_set, metadata={})
-        for key, predictor in [("test_mse", best),
+        for key, predictor in [("test_mse", best.predict),
                                ("persistence_test_mse", persistence_predict)]:
             report = evaluate(predictor, test_set)
             assert manifest[key] == report.mse, key
@@ -606,10 +606,10 @@ class TestEval:
         row = out.read_text().splitlines()[1].split(",")
         model, windows = Model.load(checkpoint), load_samples(samples)
         assert windows.metadata["norm_factor"] == norm_factor
-        report = evaluate(model, windows)
+        report = evaluate(model.predict, windows)
         assert row[:2] == ["5.0", repr(report.mse)]
         unscaled = dataclasses.replace(windows, metadata={})
-        assert report.mse != evaluate(model, unscaled).mse
+        assert report.mse != evaluate(model.predict, unscaled).mse
 
     def test_old_format_samples_name_the_metadata_record(
             self, workspace, tmp_path, capsys):
@@ -1237,6 +1237,17 @@ def faulty_inputs(workspace, raw_radar, tmp_path_factory):
     records["enc0.merge.w"] = records["enc0.merge.w"][..., :1, :]
     paths["wrong_shape_checkpoint"] = str(root / "wrong_shape_checkpoint.btar")
     archive_save(paths["wrong_shape_checkpoint"], records)
+    # a checkpoint's config as written while the ASPP was configurable
+    records = archive_load(workspace["checkpoint"])
+    manifest = json.loads(bytes(records["__manifest__"]))
+    manifest["config"]["aspp"] = {
+        "in_channels": 16, "out_channels": 16, "dilation_rates": [6, 12, 18],
+        "include_pointwise_branch": True, "spatial_kernel": 3}
+    records["__manifest__"] = json_record(manifest)
+    paths["recorded_aspp_checkpoint"] = str(root / "recorded_aspp.btar")
+    archive_save(paths["recorded_aspp_checkpoint"], records)
+    # the workspace frames are 16x16, not the radar's raw 765x700
+    paths["wrong_extent_frames"] = workspace["frames"]
     # samples of frames no network takes, and raw radar frames all dry
     paths["wrong_extent_samples"] = str(root / "wrong_extent_samples.btar")
     datapipe.save_samples(paths["wrong_extent_samples"], datapipe.make_samples(
@@ -1296,8 +1307,7 @@ FAULT_MATRIX = [
     *((fault, [*_PRECIP, "--frames", f"{{{fault}_frames}}",
                "--out", "{out}/c.btar"], 2)
       for fault in ["bad_metadata", "wrong_dtype"]),
-    # the workspace frames are 16x16, not the radar's raw 765x700
-    ("wrong_extent", [*_PRECIP, "--frames", "{frames}",
+    ("wrong_extent", [*_PRECIP, "--frames", "{wrong_extent_frames}",
                       "--out", "{out}/c.btar"], 2),
     ("all_dry", ["preprocess", "--task", "precip", "--rain-fraction", "0",
                  "--frames", "{all_dry_raw}", "--out", "{out}/c.btar"], 2),
@@ -1327,7 +1337,7 @@ FAULT_MATRIX = [
                     "nan_payload", "nan_checkpoint", "bad_metadata",
                     "bad_metadata_checkpoint", "wrong_dtype",
                     "wrong_dtype_checkpoint", "duplicate_record",
-                    "wrong_shape_checkpoint"]),
+                    "wrong_shape_checkpoint", "recorded_aspp_checkpoint"]),
 ]
 
 
@@ -1342,8 +1352,8 @@ def _tree(*roots):
 
 class TestFaultMatrix:
     """Each artifact-writing subcommand under each fault that applies to
-    it exits 1, 2 or 3 with one error line, and writes nothing: no file
-    and no directory."""
+    it exits 1, 2 or 3 with one error line, which names the input file at
+    fault, and writes nothing: no file and no directory."""
 
     @pytest.mark.parametrize(
         "fault,argv,code", FAULT_MATRIX,
@@ -1351,6 +1361,9 @@ class TestFaultMatrix:
     def test_fault_exits_with_one_error_and_writes_nothing(
             self, faulty_inputs, tmp_path, capsys, fault, argv, code):
         root, paths = faulty_inputs
+        # the files at fault: every input but the good ones
+        faulty = [paths[arg[1:-1]] for arg in argv if arg[1:-1] in paths.keys()
+                  - {"frames", "samples", "checkpoint", "raw"}]
         argv = [arg.format(out=tmp_path, **paths) for arg in argv]
         if "missing_dir" in fault:
             assert not os.path.exists(tmp_path / "absent")
@@ -1359,5 +1372,6 @@ class TestFaultMatrix:
         assert run(argv) == code
         out, err = capsys.readouterr()
         assert len(error_lines(err)) == 1, err
+        assert all(path in err for path in faulty), err
         assert "Traceback" not in out + err
         assert _tree(root, tmp_path) == before

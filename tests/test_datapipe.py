@@ -129,6 +129,18 @@ class TestArchive:
         with pytest.raises(FormatError, match="dtype code 77"):
             archive_load(path)
 
+    @pytest.mark.parametrize("cut", [4, 12, 15, -8])
+    def test_format_error_names_the_file_once(self, tmp_path, cut):
+        # cut in the header, the name length, the dtype/rank bytes and the
+        # payload
+        path = tmp_path / "t.btar"
+        archive_save(path, {"x": np.zeros(4, dtype=np.float32)})
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(FormatError) as info:
+            archive_load(path)
+        assert str(info.value).startswith(f"{path}: ")
+        assert str(info.value).count(str(path)) == 1
+
     def test_rejects_unsupported_dtype(self, tmp_path):
         with pytest.raises(ValueError, match="dtype"):
             archive_save(tmp_path / "t.btar", {"x": np.zeros(2, dtype=np.int32)})
@@ -412,6 +424,13 @@ class TestCloudPreprocess:
         lats, lons = self._grid()
         frames = np.full((1, 40, 50, 1), 7.0)
         with pytest.raises(DataError, match="lats/lons must match"):
+            cloud_preprocess(FrameSequence(frames, 15), lats[:-1], lons)
+
+    def test_mismatched_geolocation_gives_both_shapes(self):
+        lats, lons = self._grid()
+        frames = np.full((1, 40, 50, 1), 7.0)
+        with pytest.raises(DataError, match=r"lats \(39,\) and lons \(50,\) "
+                                            r"for frames \(1, 40, 50, 1\)"):
             cloud_preprocess(FrameSequence(frames, 15), lats[:-1], lons)
 
 

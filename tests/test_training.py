@@ -149,7 +149,8 @@ class TestTrainLoop:
         cfg = TrainConfig(loss="mse", learning_rate=1e-3, batch_size=4,
                           max_epochs=6, seed=0,
                           checkpoint_path=str(tmp_path / "ckpt.btar"))
-        result = train(model, train_set, val_set, cfg)
+        result = train(model.initialize(seed=cfg.seed), train_set, val_set,
+                       cfg)
         assert len(result.history) == 6
         assert result.history[-1][1] < result.history[0][1]
         assert result.best_val_loss == min(h[2] for h in result.history)
@@ -161,7 +162,7 @@ class TestTrainLoop:
         model = build_plain_unet(mini_config(base_filters=1))
         cfg = TrainConfig(learning_rate=1e-3, batch_size=4, max_epochs=2,
                           seed=1, checkpoint_path=str(path))
-        train(model, train_set, val_set, cfg)
+        train(model.initialize(seed=cfg.seed), train_set, val_set, cfg)
         loaded = Model.load(path)
         assert loaded.out_shape() == model.out_shape()
 
@@ -171,7 +172,8 @@ class TestTrainLoop:
                           seed=11)
         histories = []
         for _ in range(2):
-            model = build_plain_unet(mini_config(base_filters=1))
+            model = build_plain_unet(mini_config(base_filters=1)).initialize(
+                seed=cfg.seed)
             histories.append(train(model, train_set, val_set, cfg).history)
         assert histories[0] == histories[1]
 
@@ -183,6 +185,14 @@ class TestTrainLoop:
             train(model, empty, val_set, TrainConfig())
         with pytest.raises(ValueError):
             train(model, train_set, empty, TrainConfig())
+
+    def test_uninitialized_model_stops_before_writing(self, tmp_path):
+        train_set, val_set, _ = _tiny_split(seed=3)
+        path = tmp_path / "ckpt.btar"
+        with pytest.raises(RuntimeError, match="not initialized"):
+            train(build_plain_unet(mini_config(base_filters=1)), train_set,
+                  val_set, TrainConfig(max_epochs=1, checkpoint_path=str(path)))
+        assert not path.exists()
 
     @pytest.mark.parametrize("bad", ["train", "val"])
     def test_mis_shaped_set_fails_before_training(self, tmp_path, monkeypatch,
@@ -275,13 +285,6 @@ class TestMetrics:
         assert scaled.mse == pytest.approx(9.0 * base.mse)
         assert scaled.accuracy == base.accuracy
 
-    def test_model_and_callable_agree(self):
-        _, _, test_set = _tiny_split(seed=4)
-        model = build_plain_unet(mini_config(base_filters=1)).initialize(seed=5)
-        a = evaluate(model, test_set, threshold=0.5)
-        b = evaluate(model.predict, test_set, threshold=0.5)
-        assert a == b
-
     def test_prediction_shape_must_match_target(self):
         _, _, test_set = _tiny_split(seed=6)
         with pytest.raises(ValueError, match="prediction shape"):
@@ -332,7 +335,8 @@ class TestGradCheck:
 
         Conv3D.backward = corrupted
         try:
-            report = grad_check(model, tol=1e-4, seed=3)
+            report = grad_check(model.root, model.input_shape(), tol=1e-4,
+                                seed=3)
         finally:
             Conv3D.backward = original
         assert not report.passed
@@ -343,22 +347,24 @@ class TestGradCheck:
         model = build_broad_unet(mini_config(base_filters=1)).initialize(
             seed=6, dtype=np.float64)
         monkeypatch.setattr(Dropout, "backward", lambda self, grad: grad)
-        report = grad_check(model, tol=1e-4, seed=7, max_input_coords=16,
-                            max_param_coords=48)
+        report = grad_check(model.root, model.input_shape(), tol=1e-4, seed=7,
+                            max_input_coords=16, max_param_coords=48)
         assert not report.passed
-
-    def test_layer_needs_in_shape(self):
-        with pytest.raises(ValueError, match="in_shape"):
-            grad_check(Conv3D(ConvSpec((1, 1, 1), 1, 1)))
 
     def test_model_requires_f64(self):
         model = build_plain_unet(mini_config(base_filters=1)).initialize(seed=4)
         with pytest.raises(ValueError):
-            grad_check(model)
+            grad_check(model.root, model.input_shape())
+
+    def test_initialized_layer_requires_f64(self):
+        conv = Conv3D(ConvSpec((1, 3, 3), 2, 2))
+        conv.init_params(np.random.default_rng(0), dtype=np.float32)
+        with pytest.raises(ValueError, match="f64 parameters"):
+            grad_check(conv, (1, 4, 4, 2))
 
     def test_mini_model_end_to_end(self):
         model = build_plain_unet(mini_config(base_filters=1)).initialize(
             seed=5, dtype=np.float64)
-        report = grad_check(model, tol=1e-4, seed=5, max_input_coords=16,
-                            max_param_coords=48)
+        report = grad_check(model.root, model.input_shape(), tol=1e-4, seed=5,
+                            max_input_coords=16, max_param_coords=48)
         assert report.passed, report
