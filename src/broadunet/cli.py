@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 usage error, 2 data/format error, 3 numeric failure
 or program fault (a failed gradient check, a diverging training run, a
-non-finite model output or a `RuntimeError` such as a parameter that got no
-gradient). `run` writes a JSON
+non-finite model output, a `RuntimeError` such as a parameter that got no
+gradient, a `MemoryError` or a stray `KeyError`). `run` writes a JSON
 run manifest next to the outputs of every subcommand that writes any, with
 the configuration, seed, wall time, peak RSS and artifact checksums.
 """
@@ -151,18 +151,6 @@ def cmd_make_samples(args):
     return [args.out], {}
 
 
-def _load_or_synth_samples(args):
-    if args.samples:
-        return datapipe.load_samples(args.samples)
-    if args.task != "synth":
-        raise ValueError("--samples is required unless --task synth")
-    total = args.train_n + args.val_n + args.test_n
-    frames = total + args.lags + args.horizon - 1
-    seq = datapipe.synth_advection(SynthConfig(
-        height=args.hw, width=args.hw, n_frames=frames, seed=args.seed))
-    return datapipe.make_samples(seq, args.lags, args.horizon)
-
-
 def _missing_dirs(path) -> list:
     """The directories that `os.makedirs(path)` would make, deepest first."""
     missing, path = [], os.path.abspath(path)
@@ -180,17 +168,13 @@ def cmd_train(args):
     train_cfg = training.TrainConfig(
         loss=args.loss, learning_rate=args.lr, batch_size=args.batch,
         max_epochs=args.epochs, seed=args.seed, checkpoint_path=staged)
-    samples = _load_or_synth_samples(args)
+    samples = datapipe.load_samples(args.samples)
     train_set, val_set, test_set = datapipe.split_counts(
         samples, args.train_n, args.val_n, args.test_n)
     _, lags, h, w, f = train_set.inputs.shape
-    if args.samples and (h % DIVISOR or w % DIVISOR):
+    if h % DIVISOR or w % DIVISOR:
         raise DataError(f"samples in {args.samples} have {h}x{w} frames; the "
                         f"network takes H and W divisible by {DIVISOR}")
-    # the manifest records the values the samples set, not ignored flags
-    args.lags, args.horizon, args.hw = lags, samples.horizon, h if h == w else None
-    if args.samples:
-        args.task = None
     head = "binary" if args.loss == "bce" else "regression"
     cfg = ModelConfig(lags=lags, height=h, width=w, features=f,
                       base_filters=args.f0, factorized=args.factorized,
@@ -219,6 +203,7 @@ def cmd_train(args):
     print(f"best epoch {result.best_epoch}: val loss {result.best_val_loss:.6g}")
     print(f"test mse {report.mse:.6g} (persistence {baseline.mse:.6g})")
     return [checkpoint, history_path], {
+        "lags": lags, "horizon": samples.horizon,
         "best_epoch": result.best_epoch, "best_val_loss": result.best_val_loss,
         "test_mse": report.mse, "persistence_test_mse": baseline.mse}
 
@@ -375,14 +360,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_make_samples)
 
     p = sub.add_parser("train", help="train a model")
-    p.add_argument("--task", default="synth", choices=["synth", "precip", "cloud"])
-    p.add_argument("--samples", default=None)
+    p.add_argument("--samples", required=True)
     p.add_argument("--arch", default="broad-unet", choices=list(ARCHS))
     p.add_argument("--f0", type=int, default=2)
-    p.add_argument("--hw", type=int, default=16,
-                   help="synthetic frame size when no --samples given")
-    p.add_argument("--lags", type=int, default=4)
-    p.add_argument("--horizon", type=int, default=1)
     p.add_argument("--train-n", type=int, default=24)
     p.add_argument("--val-n", type=int, default=8)
     p.add_argument("--test-n", type=int, default=8)
@@ -452,7 +432,7 @@ def run(argv) -> int:
     except (FormatError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
@@ -460,6 +440,12 @@ def run(argv) -> int:
         return 2
     except (FloatingPointError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except (MemoryError, KeyError) as exc:
+        # program faults too; their message alone ("'w'", or none) says little
+        kind = "out of memory" if isinstance(exc, MemoryError) else "KeyError"
+        print(f"error: {kind}" + (f": {exc}" if str(exc) else ""),
+              file=sys.stderr)
         return 3
 
 

@@ -197,6 +197,9 @@ class Model:
         if value.shape != shape:
             raise ValueError(f"record {name} has shape {value.shape}, the "
                              f"architecture needs {shape}")
+        if value.dtype != self.dtype:
+            raise ValueError(f"record {name} holds {value.dtype}, the model "
+                             f"holds {self.dtype}")
         conv.params[key] = value
 
     def zero_grads(self) -> None:
@@ -262,9 +265,10 @@ class Model:
                                         "the '__manifest__' record")
             cfg = ModelConfig(**manifest["config"])
             model = ARCHS[manifest["arch"]](cfg)
-            dtype = {"f32": np.float32, "f64": np.float64}[manifest["elem_type"]]
+            model.dtype = np.dtype(
+                {"f32": np.float32, "f64": np.float64}[manifest["elem_type"]])
             for name in manifest["param_names"]:
-                model.set_param(name, records[name].astype(dtype, copy=False))
+                model.set_param(name, records[name])
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(
                 f"bad checkpoint {path}: "
@@ -275,7 +279,6 @@ class Model:
             raise FormatError(
                 f"checkpoint {path} lacks {len(missing)} parameter(s) of its "
                 f"architecture: {', '.join(missing)}")
-        model.dtype = np.dtype(dtype)
         return model
 
 

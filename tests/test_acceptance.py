@@ -222,9 +222,14 @@ def test_criterion_6_pipeline_correctness(tmp_path):
 
 
 def test_criterion_7_determinism(tmp_path):
-    args = ["train", "--task", "synth", "--arch", "broad-unet", "--f0", "1",
-            "--hw", "16", "--lags", "2", "--train-n", "8", "--val-n", "3",
-            "--test-n", "3", "--epochs", "3", "--batch", "4", "--seed", "33"]
+    frames, samples = str(tmp_path / "frames.btar"), str(tmp_path / "s.btar")
+    assert run(["synth-gen", "--out", frames, "--h", "16", "--w", "16",
+                "--frames", "16", "--seed", "33"]) == 0
+    assert run(["make-samples", "--frames", frames, "--lags", "2",
+                "--out", samples]) == 0
+    args = ["train", "--samples", samples, "--arch", "broad-unet", "--f0", "1",
+            "--train-n", "8", "--val-n", "3", "--test-n", "3", "--epochs", "3",
+            "--batch", "4", "--seed", "33"]
     blobs = []
     for i in range(2):
         out_dir = tmp_path / f"run{i}"

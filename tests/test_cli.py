@@ -42,6 +42,19 @@ def workspace(tmp_path_factory):
             "checkpoint": os.path.join(run_dir, "checkpoint.btar")}
 
 
+@pytest.fixture(scope="module")
+def train_samples(tmp_path_factory):
+    """36 windows of lags 4 from 40 synthetic 16x16 frames (seed 0), enough
+    for an 8/4/4 split."""
+    root = tmp_path_factory.mktemp("train")
+    frames, samples = str(root / "frames.btar"), str(root / "samples.btar")
+    assert run(["synth-gen", "--out", frames, "--h", "16", "--w", "16",
+                "--frames", "40"]) == 0
+    assert run(["make-samples", "--frames", frames, "--lags", "4",
+                "--out", samples]) == 0
+    return samples
+
+
 @pytest.fixture
 def archive_loads(monkeypatch):
     """The paths that `datapipe.archive_load` reads, in order."""
@@ -123,9 +136,10 @@ class TestExitCodes:
                     "--train-n", "99", "--val-n", "9", "--test-n", "9",
                     "--out-dir", str(tmp_path / "r")]) == 1
 
-    def test_train_non_synth_needs_samples(self, tmp_path):
-        assert run(["train", "--task", "precip",
-                    "--out-dir", str(tmp_path / "r")]) == 1
+    def test_train_needs_samples_and_writes_no_out_dir(self, tmp_path):
+        out_dir = tmp_path / "r"
+        assert run(["train", "--out-dir", str(out_dir)]) == 1
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("flag,value,field", [
         ("--batch", "-1", "batch_size"),
@@ -134,23 +148,22 @@ class TestExitCodes:
         *(("--lr", value, "learning_rate")
           for value in ("nan", "inf", "-1", "0")),
     ])
-    def test_bad_training_count_is_usage_error(self, tmp_path, capsys, flag,
-                                               value, field):
+    def test_bad_training_count_is_usage_error(self, train_samples, tmp_path,
+                                               capsys, flag, value, field):
         out_dir = tmp_path / "r"
-        assert run(["train", "--task", "synth", "--hw", "16", "--train-n", "8",
+        assert run(["train", "--samples", train_samples, "--train-n", "8",
                     "--val-n", "4", "--test-n", "4", flag, value,
                     "--out-dir", str(out_dir)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {field} must be")
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("flag,value", [
-        ("--dropout", "1.5"), ("--f0", "0"), ("--hw", "20"), ("--hw", "24"),
-        ("--train-n", "0"),
+        ("--dropout", "1.5"), ("--f0", "0"), ("--train-n", "0"),
     ])
-    def test_bad_model_or_split_writes_nothing(self, tmp_path, capsys, flag,
-                                               value):
+    def test_bad_model_or_split_writes_nothing(self, train_samples, tmp_path,
+                                               capsys, flag, value):
         out_dir = tmp_path / "r"
-        assert run(["train", "--task", "synth", "--hw", "16", "--train-n", "8",
+        assert run(["train", "--samples", train_samples, "--train-n", "8",
                     "--val-n", "4", "--test-n", "4", "--epochs", "1", flag,
                     value, "--out-dir", str(out_dir)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
@@ -174,10 +187,11 @@ class TestExitCodes:
         assert err.startswith("error: ") and named in err
         assert os.listdir(tmp_path) == []
 
-    def test_train_has_no_threshold_flag(self, tmp_path):
+    def test_train_has_no_threshold_flag(self, workspace, tmp_path):
         # the test report keeps only the MSE, so a threshold had no effect
         out_dir = tmp_path / "r"
-        assert run(["train", "--threshold", "0.5",
+        assert run(["train", "--samples", workspace["samples"],
+                    "--threshold", "0.5",
                     "--out-dir", str(out_dir)]) == 1
         assert not out_dir.exists()
 
@@ -257,8 +271,8 @@ class TestSynthAndSamples:
              f"{d['preprocess']}/clean.btar", "--rain-fraction", "0.1"],
             ["make-samples", "--frames", workspace["frames"], "--lags", "2",
              "--out", f"{d['make-samples']}/s.btar"],
-            ["train", "--hw", "16", "--f0", "1", "--epochs", "1",
-             "--train-n", "4", "--val-n", "2", "--test-n", "2",
+            ["train", "--samples", workspace["samples"], "--f0", "1",
+             "--epochs", "1", "--train-n", "4", "--val-n", "2", "--test-n", "2",
              "--out-dir", str(tmp_path / "train")],
             ["eval", *given, "--out", f"{d['eval']}/m.csv"],
             ["predict", *given, "--out", f"{d['predict']}/p.pgm"],
@@ -325,57 +339,40 @@ class TestTrain:
         assert sorted(os.listdir(run_dir)) == [
             "checkpoint.btar", "history.csv", "run-manifest.json"]
 
-    @pytest.mark.parametrize("w,hw", [(16, 16), (32, None)])
-    def test_manifest_records_the_samples_values(self, tmp_path, w, hw):
+    def test_manifest_records_the_samples_values(self, tmp_path):
         frames, samples = str(tmp_path / "f.btar"), str(tmp_path / "s.btar")
-        assert run(["synth-gen", "--out", frames, "--h", "16", "--w", str(w),
-                    "--frames", "15"]) == 0
+        assert run(["synth-gen", "--out", frames, "--h", "16", "--w", "32",
+                    "--frames", "16"]) == 0
         assert run(["make-samples", "--frames", frames, "--lags", "4",
-                    "--out", samples]) == 0
+                    "--horizon", "2", "--out", samples]) == 0
         run_dir = tmp_path / "run"
-        assert run(["train", "--samples", samples, "--lags", "7",
-                    "--horizon", "3", "--hw", "99", "--f0", "1",
+        assert run(["train", "--samples", samples, "--f0", "1",
                     "--train-n", "6", "--val-n", "3", "--test-n", "2",
                     "--epochs", "1", "--out-dir", str(run_dir)]) == 0
-        config = json.loads((run_dir / "run-manifest.json").read_text())["config"]
-        assert (config["lags"], config["horizon"], config["hw"]) == (4, 1, hw)
-
-    @pytest.mark.parametrize("given", ["samples", "synth"])
-    def test_manifest_records_the_task_it_ran(self, workspace, tmp_path,
-                                              given):
-        # a samples file fixes the data, so --task (default synth) is ignored
-        if given == "samples":
-            run_dir = workspace["run_dir"]
-        else:
-            run_dir = str(tmp_path / "run")
-            assert run(["train", "--hw", "16", "--f0", "1", "--lags", "2",
-                        "--train-n", "2", "--val-n", "1", "--test-n", "1",
-                        "--epochs", "1", "--out-dir", run_dir]) == 0
-        manifest = json.loads(
-            open(os.path.join(run_dir, "run-manifest.json")).read())
-        assert manifest["config"]["task"] == (None if given == "samples"
-                                              else "synth")
+        manifest = json.loads((run_dir / "run-manifest.json").read_text())
+        assert (manifest["lags"], manifest["horizon"]) == (4, 2)
 
     def test_checkpoint_loads_and_predicts(self, workspace):
         model = Model.load(workspace["checkpoint"])
         samples = load_samples(workspace["samples"])
         assert model.predict(samples.inputs[0]).shape == (1, 16, 16, 1)
 
-    def test_byte_identical_reruns(self, tmp_path):
+    def test_byte_identical_reruns(self, workspace, tmp_path):
         dirs = [str(tmp_path / f"run{i}") for i in range(2)]
         for d in dirs:
-            assert run(["train", "--task", "synth", "--arch", "unet",
-                        "--f0", "1", "--hw", "16", "--lags", "2",
-                        "--train-n", "6", "--val-n", "2", "--test-n", "2",
+            assert run(["train", "--samples", workspace["samples"],
+                        "--arch", "unet", "--f0", "1", "--train-n", "6",
+                        "--val-n", "2", "--test-n", "2",
                         "--epochs", "2", "--batch", "4", "--seed", "21",
                         "--out-dir", d]) == 0
         for name in ("history.csv", "checkpoint.btar"):
             blobs = [open(os.path.join(d, name), "rb").read() for d in dirs]
             assert blobs[0] == blobs[1], f"{name} differs between reruns"
 
-    def test_divergence_is_numeric_error(self, tmp_path, capsys):
+    def test_divergence_is_numeric_error(self, train_samples, tmp_path,
+                                         capsys):
         out_dir = tmp_path / "diverged"
-        assert run(["train", "--task", "synth", "--hw", "16", "--train-n", "8",
+        assert run(["train", "--samples", train_samples, "--train-n", "8",
                     "--val-n", "4", "--test-n", "4", "--epochs", "3",
                     "--lr", "1e6", "--out-dir", str(out_dir)]) == 3
         err = capsys.readouterr().err
@@ -383,7 +380,8 @@ class TestTrain:
         # the directory train made is gone again
         assert os.listdir(tmp_path) == []
 
-    def test_divergence_keeps_the_files_already_there(self, tmp_path, capsys):
+    def test_divergence_keeps_the_files_already_there(self, train_samples,
+                                                      tmp_path, capsys):
         # the run diverges after a best epoch has been checkpointed
         out_dir = tmp_path / "run"
         out_dir.mkdir()
@@ -391,7 +389,7 @@ class TestTrain:
         (out_dir / "history.csv").write_bytes(b"epoch\n")
         before = _tree(tmp_path)
         capsys.readouterr()
-        assert run(["train", "--task", "synth", "--hw", "16", "--train-n", "8",
+        assert run(["train", "--samples", train_samples, "--train-n", "8",
                     "--val-n", "4", "--test-n", "4", "--epochs", "8",
                     "--batch", "4", "--lr", "0.3",
                     "--out-dir", str(out_dir)]) == 3
@@ -401,7 +399,8 @@ class TestTrain:
         assert epoch >= 2, err
         assert _tree(tmp_path) == before
 
-    def test_divergence_prints_no_numpy_warnings(self, tmp_path, capfd):
+    def test_divergence_prints_no_numpy_warnings(self, train_samples,
+                                                 tmp_path, capfd):
         # a child process shows stderr exactly as a user sees it, without
         # the test runner's own warning capture
         import broadunet
@@ -411,7 +410,7 @@ class TestTrain:
             [sys.executable, "-c",
              "import sys; from broadunet.cli import run; "
              "sys.exit(run(sys.argv[1:]))",
-             "train", "--task", "synth", "--hw", "16", "--train-n", "8",
+             "train", "--samples", train_samples, "--train-n", "8",
              "--val-n", "4", "--test-n", "4", "--epochs", "3",
              "--lr", "1e6", "--out-dir", str(tmp_path / "diverged")],
             env=env).returncode
@@ -420,8 +419,8 @@ class TestTrain:
         assert err.startswith("error: training diverged in epoch 1")
         assert "RuntimeWarning" not in err
 
-    def test_dropped_gradient_is_a_program_fault(self, tmp_path, monkeypatch,
-                                                 capsys):
+    def test_dropped_gradient_is_a_program_fault(self, train_samples, tmp_path,
+                                                 monkeypatch, capsys):
         # a backward that never stores the block merge convs' bias gradient
         merges, build, backward = set(), MultiScaleBlock.__init__, Conv3D.backward
 
@@ -438,8 +437,8 @@ class TestTrain:
         monkeypatch.setattr(MultiScaleBlock, "__init__", recording_build)
         monkeypatch.setattr(Conv3D, "backward", dropping_backward)
         out_dir = tmp_path / "runs" / "run"
-        code = run(["train", "--task", "synth", "--arch", "broad-unet",
-                    "--f0", "1", "--hw", "16", "--lags", "2", "--train-n", "8",
+        code = run(["train", "--samples", train_samples, "--arch",
+                    "broad-unet", "--f0", "1", "--train-n", "8",
                     "--val-n", "3", "--test-n", "3", "--epochs", "1",
                     "--batch", "4", "--out-dir", str(out_dir)])
         err = capsys.readouterr().err
@@ -476,13 +475,13 @@ class TestTrain:
             assert manifest[key] == report.mse, key
             assert manifest[key] != evaluate(predictor, unscaled).mse, key
 
-    def test_different_seed_changes_history(self, tmp_path):
+    def test_different_seed_changes_history(self, workspace, tmp_path):
         out = []
         for seed in ("21", "22"):
             d = str(tmp_path / f"s{seed}")
-            assert run(["train", "--task", "synth", "--arch", "unet",
-                        "--f0", "1", "--hw", "16", "--lags", "2",
-                        "--train-n", "6", "--val-n", "2", "--test-n", "2",
+            assert run(["train", "--samples", workspace["samples"],
+                        "--arch", "unet", "--f0", "1", "--train-n", "6",
+                        "--val-n", "2", "--test-n", "2",
                         "--epochs", "2", "--batch", "4", "--seed", seed,
                         "--out-dir", d]) == 0
             out.append(open(os.path.join(d, "history.csv")).read())
@@ -829,8 +828,7 @@ class TestWrongInputs:
 
     def test_samples_the_network_cannot_take(self, faulty_inputs, tmp_path,
                                              capsys):
-        # a samples file fixes the frame size, so this is bad data; the same
-        # size given as --hw is a usage error (TestExitCodes)
+        # a samples file fixes the frame size, so this is bad data
         samples = faulty_inputs[1]["wrong_extent_samples"]
         code, err = self._run(capsys, [
             "train", "--samples", samples, "--train-n", "4", "--val-n", "2",
@@ -1068,6 +1066,51 @@ class TestNonFiniteOutputs:
         assert err == (f"error: checkpoint {bad} gives non-finite values on "
                        f"{workspace['samples']}\n")
         assert sorted(os.listdir(tmp_path)) == ["nan.btar"]
+
+
+def fail_forward(monkeypatch, fault):
+    def failing_forward(model, x, train=False, rng=None):
+        raise fault
+
+    monkeypatch.setattr(Model, "forward", failing_forward)
+
+
+class TestMemoryAndKeyFaults:
+    """Running out of memory, or a stray KeyError, is a program fault: exit
+    3 with one error line, and nothing written."""
+
+    @pytest.mark.parametrize("fault,line", [
+        (MemoryError("Unable to allocate 24.0 MiB for an array"),
+         "error: out of memory: Unable to allocate 24.0 MiB for an array"),
+        (MemoryError(), "error: out of memory"),
+        (KeyError("w"), "error: KeyError: 'w'"),
+    ], ids=["memory", "bare_memory", "key"])
+    def test_predict_exits_3_and_writes_nothing(
+            self, workspace, tmp_path, capsys, monkeypatch, fault, line):
+        fail_forward(monkeypatch, fault)
+        capsys.readouterr()
+        assert run(["predict", "--checkpoint", workspace["checkpoint"],
+                    "--samples", workspace["samples"],
+                    "--out", str(tmp_path / "p.pgm")]) == 3
+        assert capsys.readouterr().err.splitlines() == [line]
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("existing", [True, False],
+                             ids=["existing", "absent"])
+    def test_train_leaves_the_out_dir_as_it_found_it(
+            self, workspace, tmp_path, capsys, monkeypatch, existing):
+        out_dir = tmp_path / "runs" / "run"
+        if existing:
+            out_dir.mkdir(parents=True)
+            (out_dir / "history.csv").write_bytes(b"epoch\n")
+        before = _tree(tmp_path)
+        fail_forward(monkeypatch, MemoryError())
+        capsys.readouterr()
+        assert run(["train", "--samples", workspace["samples"], "--f0", "1",
+                    "--train-n", "4", "--val-n", "2", "--test-n", "2",
+                    "--epochs", "1", "--out-dir", str(out_dir)]) == 3
+        assert capsys.readouterr().err.splitlines() == ["error: out of memory"]
+        assert _tree(tmp_path) == before
 
 
 class Interrupted(BaseException):

@@ -1,4 +1,5 @@
 import hashlib
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -426,4 +427,25 @@ class TestCheckpoint:
         loaded = Model.load(path)
         for name, arr in model.named_params().items():
             np.testing.assert_array_equal(loaded.named_params()[name], arr)
+
+    def test_param_of_another_dtype_is_refused(self):
+        # saved beside `elem_type: f32`, an f64 record would be narrowed on load
+        model = build_broad_unet(mini_config()).initialize(seed=15)
+        before = model.named_params()["head.w"]
+        with pytest.raises(ValueError, match="record head.w holds float64, "
+                                             "the model holds float32"):
+            model.set_param("head.w", before.astype(np.float64))
+        assert model.named_params()["head.w"] is before
+
+    def test_record_of_another_dtype_is_format_error(self, tmp_path):
+        path = tmp_path / "model.btar"
+        build_broad_unet(mini_config()).initialize(seed=16).save(path)
+        records = archive.archive_load(path)
+        records["head.w"] = records["head.w"].astype(np.float64)
+        archive.archive_save(path, records)
+        with pytest.raises(archive.FormatError,
+                           match=f"bad checkpoint {re.escape(str(path))}: "
+                                 f".*record head.w holds float64, the model "
+                                 f"holds float32"):
+            Model.load(path)
 
