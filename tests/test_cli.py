@@ -339,18 +339,22 @@ class TestTrain:
         assert sorted(os.listdir(run_dir)) == [
             "checkpoint.btar", "history.csv", "run-manifest.json"]
 
-    def test_manifest_records_the_samples_values(self, tmp_path):
+    # square and non-square frames; a given and a defaulted (1) horizon
+    @pytest.mark.parametrize("w,horizon", [(16, 16), (32, None)])
+    def test_manifest_records_the_samples_values(self, tmp_path, w, horizon):
         frames, samples = str(tmp_path / "f.btar"), str(tmp_path / "s.btar")
-        assert run(["synth-gen", "--out", frames, "--h", "16", "--w", "32",
-                    "--frames", "16"]) == 0
+        assert run(["synth-gen", "--out", frames, "--h", "16", "--w", str(w),
+                    "--frames", "32"]) == 0
         assert run(["make-samples", "--frames", frames, "--lags", "4",
-                    "--horizon", "2", "--out", samples]) == 0
+                    "--out", samples]
+                   + ([] if horizon is None else ["--horizon", str(horizon)])
+                   ) == 0
         run_dir = tmp_path / "run"
         assert run(["train", "--samples", samples, "--f0", "1",
                     "--train-n", "6", "--val-n", "3", "--test-n", "2",
                     "--epochs", "1", "--out-dir", str(run_dir)]) == 0
         manifest = json.loads((run_dir / "run-manifest.json").read_text())
-        assert (manifest["lags"], manifest["horizon"]) == (4, 2)
+        assert (manifest["lags"], manifest["horizon"]) == (4, horizon or 1)
 
     def test_checkpoint_loads_and_predicts(self, workspace):
         model = Model.load(workspace["checkpoint"])
