@@ -262,27 +262,9 @@ def synth_advection(cfg: SynthConfig) -> FrameSequence:
 def save_frames(path, seq: FrameSequence) -> None:
     archive_save(path, {
         "frames": seq.frames,
-        "cadence_minutes": np.asarray([seq.cadence_minutes], dtype=np.float64),
-        "metadata": json_record(seq.metadata),
+        "metadata": json_record({**seq.metadata,
+                                 "cadence_minutes": seq.cadence_minutes}),
     })
-
-
-def _require_records(records, path, kind, names) -> dict:
-    """The records of archive `path`, which must include all of `names`."""
-    missing = [name for name in names if name not in records]
-    if missing:
-        raise DataError(f"{path} is not a {kind} archive: it lacks the "
-                        f"{', '.join(map(repr, missing))} record(s)")
-    return records
-
-
-def _metadata(records, path, kind) -> dict:
-    """The JSON object in the `metadata` record of archive `path`."""
-    meta = read_json_record(records["metadata"], f"the metadata of {path}")
-    if not isinstance(meta, dict):
-        raise DataError(f"{kind} archive {path} needs its metadata to be a "
-                        f"JSON object; it holds {meta!r:.60}")
-    return meta
 
 
 def _finite_positive(value) -> bool:
@@ -291,28 +273,26 @@ def _finite_positive(value) -> bool:
     return type(value) in (int, float) and 0 < value < np.inf
 
 
-def load_frames(path) -> FrameSequence:
-    return frames_from_records(archive_load(path), path)
-
-
-def frames_from_records(records, path) -> FrameSequence:
-    """The frames that the records of archive `path` hold."""
-    _require_records(records, path, "frames", ("frames", "cadence_minutes"))
-    cadence = records["cadence_minutes"]
-    if cadence.size != 1 or not 0 < cadence.item() < np.inf:
+def _frame_run(records, path, kind) -> tuple:
+    """(frames, metadata) that the records of `kind` archive `path` hold:
+    its `frames` record, which must be (N, H, W, C) and finite, and the JSON
+    object in its `metadata` record, which must hold a finite positive
+    cadence_minutes and may hold a finite positive norm_factor."""
+    missing = [name for name in ("frames", "metadata") if name not in records]
+    if missing:
+        raise DataError(f"{path} is not a {kind} archive: it lacks the "
+                        f"{', '.join(map(repr, missing))} record(s)")
+    meta = read_json_record(records["metadata"], f"the metadata of {path}")
+    if not isinstance(meta, dict):
+        raise DataError(f"{kind} archive {path} needs its metadata to be a "
+                        f"JSON object; it holds {meta!r:.60}")
+    cadence, norm = meta.get("cadence_minutes"), meta.get("norm_factor", 1.0)
+    if not (_finite_positive(cadence) and _finite_positive(norm)):
         raise DataError(
-            f"frames archive {path} needs one finite positive cadence_minutes "
-            f"value; it holds {cadence.size} value(s), starting "
-            f"{cadence.ravel()[:3].tolist()}")
-    meta = _metadata(records, path, "frames") if "metadata" in records else {}
-    frames = _checked_frames(records["frames"], meta, path, "frames")
-    return FrameSequence(frames, float(cadence.item()), metadata=meta)
-
-
-def _checked_frames(frames, meta, path, kind) -> np.ndarray:
-    """`frames`, the frame record of `kind` archive `path`, which must be
-    (N, H, W, C) and finite, beside metadata `meta` whose norm_factor (if
-    any) must be a finite positive number."""
+            f"{kind} archive {path} needs a finite positive cadence_minutes "
+            f"and, if any, norm_factor in its metadata; it holds {cadence!r} "
+            f"and {meta.get('norm_factor')!r}")
+    frames = records["frames"]
     if frames.ndim != 4:
         raise DataError(f"{kind} archive {path} needs (N, H, W, C) frames; "
                         f"it holds frames of shape {frames.shape}")
@@ -320,38 +300,40 @@ def _checked_frames(frames, meta, path, kind) -> np.ndarray:
     if not finite.all():
         raise DataError(f"{kind} archive {path} holds non-finite values, "
                         f"first in frame {int(np.argmin(finite))}")
-    if not _finite_positive(meta.get("norm_factor", 1.0)):
-        raise DataError(
-            f"{kind} archive {path} needs a finite positive norm_factor (if "
-            f"any) in its metadata; it holds {meta['norm_factor']!r}")
-    return frames
+    return frames, meta
+
+
+def load_frames(path) -> FrameSequence:
+    return frames_from_records(archive_load(path), path)
+
+
+def frames_from_records(records, path) -> FrameSequence:
+    """The frames that the records of archive `path` hold."""
+    frames, meta = _frame_run(records, path, "frames")
+    return FrameSequence(frames, meta.pop("cadence_minutes"), metadata=meta)
 
 
 def save_samples(path, samples: SampleSet) -> None:
-    """The set's frame run, each frame once; its windows follow from the
-    frames, lags and horizon. A set with no windows is not written."""
+    """The set's frame run, each frame once, as a frames archive whose
+    metadata adds the lags and horizon; its windows follow from those. A
+    set with no windows is not written."""
     if len(samples) < 1:
         raise ValueError("a samples file needs at least one window")
     archive_save(path, {
-        "frame_run": samples.frame_run,
+        "frames": samples.frame_run,
         "metadata": json_record({**samples.metadata, "lags": samples.lags,
                                  "horizon": samples.horizon}),
     })
 
 
 def load_samples(path) -> SampleSet:
-    records = _require_records(archive_load(path), path, "samples",
-                               ("frame_run", "metadata"))
-    meta = _metadata(records, path, "samples")
+    frames, meta = _frame_run(archive_load(path), path, "samples")
     lags, horizon = meta.pop("lags", None), meta.pop("horizon", None)
-    cadence = meta.get("cadence_minutes")
     if not (type(lags) is int and lags >= 1 and type(horizon) is int
-            and horizon >= 1 and _finite_positive(cadence)):
+            and horizon >= 1):
         raise DataError(
-            f"samples archive {path} needs a whole lags and horizon >= 1 and "
-            f"a finite positive cadence_minutes in its metadata; it holds "
-            f"{lags!r}, {horizon!r} and {cadence!r}")
-    frames = _checked_frames(records["frame_run"], meta, path, "samples")
+            f"samples archive {path} needs a whole lags and horizon >= 1 in "
+            f"its metadata; it holds {lags!r} and {horizon!r}")
     if len(frames) < lags + horizon:
         raise DataError(
             f"samples archive {path} holds {len(frames)} frames, too few for "

@@ -560,7 +560,8 @@ class Activation(Layer):
         if self.kind == "relu":
             self._tape = x > 0 if train else None
             return np.maximum(x, 0)
-        y = 1.0 / (1.0 + np.exp(-x))
+        with np.errstate(over="ignore"):  # exp(-x) = inf gives y = 0 exactly
+            y = 1.0 / (1.0 + np.exp(-x))
         self._tape = y if train else None
         return y
 

@@ -7,6 +7,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -312,7 +313,7 @@ class TestPreprocess:
             frames = str(tmp_path / "cloud_raw.btar")
             archive_save(frames, {
                 "frames": rng.integers(1, 16, (2, 20, 24, 1)).astype(np.float32),
-                "cadence_minutes": np.asarray([15.0]),
+                "metadata": json_record({"cadence_minutes": 15.0}),
                 "lats": np.linspace(53, 40, 20),
                 "lons": np.linspace(-7, 11, 24)})
         out = str(tmp_path / "clean.btar")
@@ -581,7 +582,7 @@ class TestEval:
     def test_rows_take_the_cadence_of_the_frames(self, workspace, tmp_path,
                                                  cadence, labels):
         records = archive_load(workspace["frames"])
-        records["cadence_minutes"] = np.array([cadence])
+        edit_metadata(cadence_minutes=cadence)(records)
         frames = str(tmp_path / "frames.btar")
         archive_save(frames, records)
         samples = horizon_samples({"frames": frames}, tmp_path)
@@ -634,7 +635,8 @@ class TestEval:
     def test_stacked_window_samples_name_the_frame_run_record(
             self, workspace, tmp_path, capsys):
         # samples that stored every window whole, beside a metadata record;
-        # they are remade with make-samples, not read
+        # they are remade with make-samples, not read, and their frame run
+        # is the 'frames' record
         windows = load_samples(workspace["samples"])
         old = str(tmp_path / "old.btar")
         archive_save(old, {
@@ -644,7 +646,7 @@ class TestEval:
         assert run(["eval", "--checkpoint", workspace["checkpoint"],
                     "--samples", old, "--out", str(tmp_path / "m.csv")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and old in err and "'frame_run'" in err
+        assert err.startswith("error: ") and old in err and "'frames'" in err
         assert not (tmp_path / "m.csv").exists()
 
     def test_samples_without_a_path_is_usage_error(self, workspace, tmp_path):
@@ -666,6 +668,26 @@ class TestPredict:
                     "--out", out]) == 0
         img = read_pgm(out)
         assert img.shape == (16, 16)
+
+    def test_saturated_sigmoid_head_prints_no_warning(self, workspace,
+                                                      tmp_path, capsys):
+        # a logit of -100 overflows exp(-x) in f32; the sigmoid's limit, 0,
+        # is its exact value, so it is no numeric failure to warn of
+        model = ARCHS["broad-unet"](ModelConfig(
+            lags=2, height=16, width=16, features=1, base_filters=1,
+            head="binary")).initialize(seed=0)
+        bias = model.named_params()["head.b"]
+        model.set_param("head.b", np.full_like(bias, -100.0))
+        checkpoint, out = str(tmp_path / "ck.btar"), str(tmp_path / "p.pgm")
+        model.save(checkpoint)
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["predict", "--checkpoint", checkpoint,
+                        "--samples", workspace["samples"], "--out", out]) == 0
+        assert capsys.readouterr().err == ""
+        manifest = json.loads((tmp_path / "run-manifest.json").read_text())
+        assert manifest["pgm_scale"] == {"lo": 0.0, "hi": 0.0}
 
     def test_index_out_of_range(self, workspace, tmp_path):
         assert run(["predict", "--checkpoint", workspace["checkpoint"],
@@ -742,7 +764,7 @@ class TestPredict:
         with open(workspace["samples"], "rb") as f:
             blob = f.read()
         bad = tmp_path / "bad_samples.btar"
-        bad.write_bytes(blob.replace(b"frame_run", b"\xfframe_run", 1))
+        bad.write_bytes(blob.replace(b"frames", b"\xfframes", 1))
         capsys.readouterr()
         assert run(["predict", "--checkpoint", workspace["checkpoint"],
                     "--samples", str(bad), "--out",
@@ -780,6 +802,50 @@ class TestParams:
         assert out == ""
 
 
+# faults of a run of frames, which frames and samples files share: each is
+# read through make-samples --frames and through predict --samples
+_FRAME_RUN_FAULTS = [pytest.param(edit, id=name) for name, edit in [
+    *((f"{name}_cadence", edit_metadata(cadence_minutes=value))
+      for name, value in [("empty", []), ("nan", np.nan), ("negative", -5),
+                          ("zero", 0), ("infinite", np.inf), ("string", "5"),
+                          ("bool", True), ("absent", None)]),
+    *((f"{name}_norm_factor", edit_metadata(norm_factor=value))
+      for name, value in [("zero", 0), ("negative", -1), ("nan", np.nan),
+                          ("infinite", np.inf), ("string", "1")]),
+    ("rank3_frames",
+     lambda records: records.update(frames=records["frames"][..., 0])),
+    ("rank5_frames",
+     lambda records: records.update(frames=records["frames"][None])),
+    ("metadata_not_utf8", lambda records: records.update(
+        metadata=np.frombuffer(b'{"source": "\xff"}', dtype=np.uint8))),
+    ("metadata_not_json", lambda records: records.update(
+        metadata=np.frombuffer(b'{"cadence_minutes": ', dtype=np.uint8))),
+    ("metadata_not_object",
+     lambda records: records.update(metadata=json_record([1.0, "a"]))),
+    *((f"{name}_pixel", lambda records, value=value: records[
+        "frames"].__setitem__((4, 7, 2, 0), value))
+      for name, value in [("nan", np.nan), ("infinite", np.inf),
+                          ("negative_infinite", -np.inf)]),
+]]
+
+# faults of a samples file's lags and horizon; 15 frames hold no window of
+# lags 2, horizon 1 once cut to 2, nor one of lags 15
+_SAMPLES_FAULTS = [pytest.param(edit, id=name) for name, edit in [
+    ("too_few_frames",
+     lambda records: records.update(frames=records["frames"][:2])),
+    ("lags_past_the_run", edit_metadata(lags=15)),
+    *((f"{name}_horizon", edit_metadata(horizon=value))
+      for name, value in [("list", [1, 7]), ("infinite", np.inf),
+                          ("nan", np.nan), ("negative", -3),
+                          ("fractional", 1.5), ("zero", 0), ("absent", None),
+                          ("bool", True), ("string", "2")]),
+    *((f"{name}_lags", edit_metadata(lags=value))
+      for name, value in [("list", [2]), ("nan", np.nan), ("zero", 0),
+                          ("float", 2.0), ("absent", None), ("bool", True),
+                          ("string", "2")]),
+]]
+
+
 class TestWrongInputs:
     """Inputs of the wrong kind or shape exit 2 with an error naming them."""
 
@@ -788,18 +854,25 @@ class TestWrongInputs:
         code = run(argv)
         return code, capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", [
-        ["preprocess", "--task", "precip"],
-        ["make-samples", "--lags", "2"],
+    @pytest.mark.parametrize("command,code", [
+        (["preprocess", "--task", "precip"], 2),
+        (["make-samples", "--lags", "4", "--horizon", "2"], 0),
     ], ids=["preprocess", "make-samples"])
     def test_samples_given_as_frames(self, workspace, tmp_path, capsys,
-                                     command):
-        code, err = self._run(capsys, [
-            *command, "--frames", workspace["samples"],
-            "--out", str(tmp_path / "out.btar")])
-        assert code == 2
-        assert err.startswith("error: ") and workspace["samples"] in err
-        assert "'frames'" in err
+                                     command, code):
+        # a samples file is its frames file with lags and horizon added to
+        # the metadata, so as --frames it reads as that frames file:
+        # preprocess refuses its 16x16 frames, which are not raw radar
+        # frames, and make-samples re-cuts it to the same bytes
+        results = []
+        for given in ("samples", "frames"):
+            out = tmp_path / f"from_{given}.btar"
+            got, err = self._run(capsys, [*command, "--frames", workspace[given],
+                                          "--out", str(out)])
+            results.append((got, err.replace(workspace[given], "<frames>"),
+                            out.read_bytes() if out.exists() else None))
+        assert results[0] == results[1]
+        assert results[0][0] == code
 
     @pytest.mark.parametrize("command", ["predict", "eval"])
     def test_frames_given_as_samples(self, workspace, tmp_path, capsys,
@@ -809,7 +882,35 @@ class TestWrongInputs:
             "--samples", workspace["frames"], "--out", str(tmp_path / "out")])
         assert code == 2
         assert err.startswith("error: ") and workspace["frames"] in err
-        assert "'frame_run'" in err
+        assert "lags and horizon" in err
+
+    def test_old_layout_archives_name_what_they_lack(self, workspace,
+                                                     tmp_path, capsys):
+        # a samples file whose frames were the 'frame_run' record, and a
+        # frames file whose cadence was a record of its own
+        samples, frames = (archive_load(workspace[kind])
+                           for kind in ("samples", "frames"))
+        samples["frame_run"] = samples.pop("frames")
+        frames["cadence_minutes"] = np.array([5.0])
+        edit_metadata(cadence_minutes=None)(frames)
+        old_samples, old_frames = (str(tmp_path / f"old_{kind}.btar")
+                                   for kind in ("samples", "frames"))
+        archive_save(old_samples, samples)
+        archive_save(old_frames, frames)
+        code, err = self._run(capsys, [
+            "predict", "--checkpoint", workspace["checkpoint"],
+            "--samples", old_samples, "--out", str(tmp_path / "p.pgm")])
+        assert (code, err) == (2, f"error: {old_samples} is not a samples "
+                                  f"archive: it lacks the 'frames' record(s)\n")
+        code, err = self._run(capsys, [
+            "make-samples", "--frames", old_frames, "--lags", "2",
+            "--out", str(tmp_path / "s.btar")])
+        assert code == 2
+        assert err.startswith(f"error: frames archive {old_frames} needs a "
+                              f"finite positive cadence_minutes")
+        assert "in its metadata; it holds None" in err
+        assert sorted(os.listdir(tmp_path)) == ["old_frames.btar",
+                                                "old_samples.btar"]
 
     @pytest.mark.parametrize("command", [
         ["predict", "--out", "out.pgm"],
@@ -842,35 +943,7 @@ class TestWrongInputs:
                        f"network takes H and W divisible by 16\n")
         assert os.listdir(tmp_path) == []
 
-    @pytest.mark.parametrize("edit", [
-        # 15 frames hold no window of lags 2, horizon 1 once cut to 2, nor
-        # one of lags 15
-        lambda records: records.update(frame_run=records["frame_run"][:2]),
-        edit_metadata(lags=15),
-        lambda records: records.update(frame_run=records["frame_run"][..., 0]),
-        lambda records: records.update(frame_run=records["frame_run"][None]),
-        *(edit_metadata(horizon=value)
-          for value in [[1, 7], np.inf, np.nan, -3, 1.5, 0, None, True, "2"]),
-        *(edit_metadata(lags=value)
-          for value in [[2], np.nan, 0, 2.0, None, True, "2"]),
-        *(edit_metadata(cadence_minutes=value)
-          for value in [np.nan, -5, 0, np.inf, "5", None]),
-        *(edit_metadata(norm_factor=value) for value in [np.nan, 0, -1, np.inf]),
-        lambda records: records.update(metadata=json_record([1.0, "a"])),
-        lambda records: records.update(
-            metadata=np.frombuffer(b'{"horizon": ', dtype=np.uint8)),
-    ], ids=["too_few_frames", "lags_past_the_run", "rank3_frames",
-            "rank5_frames", "list_horizon",
-            "infinite_horizon", "nan_horizon", "negative_horizon",
-            "fractional_horizon", "zero_horizon", "absent_horizon",
-            "bool_horizon", "string_horizon", "list_lags", "nan_lags",
-            "zero_lags", "float_lags", "absent_lags", "bool_lags",
-            "string_lags", "nan_cadence",
-            "negative_cadence", "zero_cadence", "infinite_cadence",
-            "string_cadence", "absent_cadence", "nan_norm_factor",
-            "zero_norm_factor", "negative_norm_factor",
-            "infinite_norm_factor", "metadata_not_object",
-            "metadata_not_json"])
+    @pytest.mark.parametrize("edit", _SAMPLES_FAULTS + _FRAME_RUN_FAULTS)
     def test_inconsistent_samples_archive(self, workspace, tmp_path, capsys,
                                           edit):
         records = archive_load(workspace["samples"])
@@ -878,32 +951,13 @@ class TestWrongInputs:
         bad = str(tmp_path / "bad_samples.btar")
         archive_save(bad, records)
         code, err = self._run(capsys, [
-            "eval", "--checkpoint", workspace["checkpoint"], "--samples", bad,
-            "--out", str(tmp_path / "m.csv")])
+            "predict", "--checkpoint", workspace["checkpoint"],
+            "--samples", bad, "--out", str(tmp_path / "p.pgm")])
         assert code == 2
         assert err.startswith("error: ") and bad in err
-        assert not (tmp_path / "m.csv").exists()
+        assert not (tmp_path / "p.pgm").exists()
 
-    @pytest.mark.parametrize("edit", [
-        lambda records: records.update(cadence_minutes=np.zeros(0)),
-        lambda records: records.update(cadence_minutes=np.array([np.nan])),
-        lambda records: records.update(cadence_minutes=np.array([-5.0])),
-        lambda records: records.update(frames=records["frames"][..., 0]),
-        lambda records: records.update(
-            metadata=np.frombuffer(b'{"source": "\xff"}', dtype=np.uint8)),
-        lambda records: records.update(
-            metadata=np.frombuffer(b'{"source": ', dtype=np.uint8)),
-        lambda records: records.update(metadata=json_record([1.0, "a"])),
-        *(edit_metadata(norm_factor=value)
-          for value in [0, -1, np.nan, np.inf, "1"]),
-        *(lambda records, value=value: records["frames"].__setitem__(
-            (4, 7, 2, 0), value) for value in [np.nan, np.inf, -np.inf]),
-    ], ids=["empty_cadence", "nan_cadence", "negative_cadence",
-            "rank3_frames", "metadata_not_utf8", "metadata_not_json",
-            "metadata_not_object", "zero_norm_factor",
-            "negative_norm_factor", "nan_norm_factor",
-            "infinite_norm_factor", "string_norm_factor", "nan_pixel",
-            "infinite_pixel", "negative_infinite_pixel"])
+    @pytest.mark.parametrize("edit", _FRAME_RUN_FAULTS)
     def test_bad_frames_archive(self, workspace, tmp_path, capsys, edit):
         records = archive_load(workspace["frames"])
         edit(records)
@@ -945,8 +999,8 @@ class TestWrongInputs:
     def test_non_finite_samples_frame_is_named(self, workspace, tmp_path,
                                                capsys, command):
         records = archive_load(workspace["samples"])
-        records["frame_run"][9, 3, 3, 0] = np.nan
-        records["frame_run"][11] = -np.inf
+        records["frames"][9, 3, 3, 0] = np.nan
+        records["frames"][11] = -np.inf
         bad = str(tmp_path / "nan_samples.btar")
         archive_save(bad, records)
         out = tmp_path / "out"
@@ -1258,7 +1312,7 @@ def faulty_inputs(workspace, raw_radar, tmp_path_factory):
     paths["nan_frames"] = str(root / "nan_frames.btar")
     archive_save(paths["nan_frames"], records)
     records = archive_load(workspace["samples"])
-    records["frame_run"][0] = np.nan
+    records["frames"][0] = np.nan
     paths["nan_samples"] = str(root / "nan_samples.btar")
     archive_save(paths["nan_samples"], records)
     paths["nan_checkpoint"] = nan_checkpoint(
@@ -1308,7 +1362,7 @@ def faulty_inputs(workspace, raw_radar, tmp_path_factory):
     # outside the bounding box
     cloud = {"frames": np.random.default_rng(3).integers(
                  1, 16, (2, 20, 24, 1)).astype(np.float32),
-             "cadence_minutes": np.asarray([15.0])}
+             "metadata": json_record({"cadence_minutes": 15.0})}
     lats, lons = np.linspace(53, 40, 20), np.linspace(-7, 11, 24)
     for fault, geo in [("no_geolocation", {}),
                        ("off_grid", {"lats": lats, "lons": lons[:-1]}),

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import os
 import struct
 import tracemalloc
@@ -246,7 +247,7 @@ class TestSamplesArchive:
         path = tmp_path_factory.getbasetemp() / "fuzz_samples.btar"
         frames = np.arange(np.prod(frames_dims), dtype=np.float32).reshape(
             frames_dims)
-        archive_save(path, {"frame_run": frames, "metadata": json_record(meta)})
+        archive_save(path, {"frames": frames, "metadata": json_record(meta)})
         consistent = (len(frames_dims) == 4 and lags_ok and horizon_ok
                       and cadence_ok and frames_dims[0] >= lags + horizon)
         try:
@@ -267,21 +268,21 @@ class TestSamplesArchive:
 
 
 class TestFramesArchive:
-    # as above, each field is drawn valid half the time
+    # as above, each field is drawn valid half the time, and the cadence is
+    # drawn as the samples test draws it
     @given(st.one_of(st.lists(st.integers(1, 3), min_size=4, max_size=4),
                      st.lists(st.integers(1, 3), max_size=5)),
-           st.one_of(st.lists(st.floats(0.5, 60.0), min_size=1, max_size=1),
-                     st.lists(st.floats(), max_size=3)))
+           st.one_of(st.floats(0.5, 60.0),
+                     st.sampled_from([0, -5, np.nan, np.inf, "5", None])))
     @settings(max_examples=100, deadline=None)
     def test_any_frames_and_cadence_load_or_data_error(
             self, tmp_path_factory, dims, cadence):
         path = tmp_path_factory.getbasetemp() / "fuzz_frames.btar"
-        archive_save(path, {
-            "frames": np.zeros(dims, dtype=np.float32),
-            "cadence_minutes": np.array(cadence, dtype=np.float64),
-        })
-        consistent = (len(dims) == 4 and len(cadence) == 1
-                      and 0 < cadence[0] < np.inf)
+        meta = {} if cadence is None else {"cadence_minutes": cadence}
+        archive_save(path, {"frames": np.zeros(dims, dtype=np.float32),
+                            "metadata": json_record(meta)})
+        consistent = (len(dims) == 4 and isinstance(cadence, float)
+                      and 0 < cadence < np.inf)
         try:
             seq = load_frames(path)
         except DataError:
@@ -289,7 +290,8 @@ class TestFramesArchive:
         else:
             assert consistent
             assert seq.frames.shape == tuple(dims)
-            assert seq.cadence_minutes == cadence[0]
+            assert seq.cadence_minutes == cadence
+            assert seq.metadata == {}
 
 
 class TestPgm:
@@ -514,7 +516,7 @@ class TestWindows:
         # every frame is stored as it is, even one that no window reads
         unread = np.s_[len(made) + lags - 1:lags - 1 + horizon]
         assert len(seq.frames[unread]) == max(0, horizon - len(made))
-        assert _same_bits(archive_load(path)["frame_run"], seq.frames)
+        assert _same_bits(archive_load(path)["frames"], seq.frames)
 
     def test_writing_into_a_window_raises(self, tmp_path):
         made = make_samples(self._seq(8), 3, 1)
@@ -536,7 +538,7 @@ class TestWindows:
         _, val, _ = split_counts(make_samples(seq, 3, 2), 8, 4, 3)
         save_samples(tmp_path / "val.btar", val)
         # the val windows start at frame 8 and reach frame 8 + 3 + 3 + 1
-        assert _same_bits(archive_load(tmp_path / "val.btar")["frame_run"],
+        assert _same_bits(archive_load(tmp_path / "val.btar")["frames"],
                           seq.frames[8:16])
         loaded = load_samples(tmp_path / "val.btar")
         assert _same_bits(loaded.inputs, np.ascontiguousarray(val.inputs))
@@ -560,7 +562,7 @@ class TestWindows:
         # frames 8..10 are read by no window; they are stored as they are
         part = make_samples(seq, 3, 5).subset(np.s_[4:6])
         save_samples(tmp_path / "s.btar", part)
-        assert _same_bits(archive_load(tmp_path / "s.btar")["frame_run"],
+        assert _same_bits(archive_load(tmp_path / "s.btar")["frames"],
                           seq.frames[4:13])
         loaded = load_samples(tmp_path / "s.btar")
         assert _same_bits(loaded.inputs, np.ascontiguousarray(part.inputs))
@@ -673,10 +675,20 @@ class TestPersistenceIO:
         loaded = load_frames(path)
         assert loaded.metadata == {**clean.metadata, "crop_offsets": [238, 206]}
         assert loaded.metadata["source"] == "radar"
-        # an archive without the metadata record loads with none
+        # the cadence is a key of the metadata, and an archive of the old
+        # layout, which kept it in a record of its own, names what it lacks
+        assert json.loads(bytes(archive_load(path)["metadata"])) == {
+            **loaded.metadata, "cadence_minutes": 5.0}
         archive_save(path, {"frames": seq.frames,
                             "cadence_minutes": np.array([5.0])})
-        assert load_frames(path).metadata == {}
+        with pytest.raises(DataError, match="lacks the 'metadata' record"):
+            load_frames(path)
+        archive_save(path, {"frames": seq.frames,
+                            "cadence_minutes": np.array([5.0]),
+                            "metadata": json_record({"source": "synthetic"})})
+        with pytest.raises(DataError, match="cadence_minutes and, if any, "
+                                            "norm_factor in its metadata"):
+            load_frames(path)
 
     def test_samples_round_trip(self, tmp_path):
         seq = synth_advection(SynthConfig(n_frames=8, seed=8))
@@ -685,9 +697,9 @@ class TestPersistenceIO:
         path = tmp_path / "samples.btar"
         save_samples(path, samples)
         records = archive_load(path)
-        assert set(records) == {"frame_run", "metadata"}
+        assert set(records) == {"frames", "metadata"}
         # each of the 8 frames once, not 4 windows of 3 + 1 frames
-        np.testing.assert_array_equal(records["frame_run"], seq.frames)
+        np.testing.assert_array_equal(records["frames"], seq.frames)
         loaded = load_samples(path)
         np.testing.assert_array_equal(loaded.inputs, samples.inputs)
         np.testing.assert_array_equal(loaded.targets, samples.targets)
