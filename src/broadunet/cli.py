@@ -260,9 +260,13 @@ def _primitive_layer_checks():
     conv = Conv3D(ConvSpec((2, 3, 3), 32, 4))
     dilated = Conv3D(ConvSpec((1, 3, 3), 2, 2, dilation=(1, 2, 2)))
     valid = Conv3D(ConvSpec((2, 3, 3), 2, 2, padding="valid"))
+    # rate 6 on a 9x9 map: its grid spans 618 rows for 162 outputs, so the
+    # plan takes the boxed layout
+    atrous = Conv3D(ConvSpec((1, 3, 3), 3, 2, dilation=(1, 6, 6)))
     return [
         ("conv3d_same", conv, (2, 24, 24, 32)),
         ("conv3d_dilated", dilated, (2, 8, 8, 2)),
+        ("conv3d_atrous", atrous, (2, 9, 9, 3)),
         ("conv3d_valid", valid, (4, 8, 8, 2)),
         ("maxpool", MaxPoolSpatial(), (2, 6, 6, 3)),
         ("upsample", UpsampleNearestSpatial(), (2, 4, 4, 3)),

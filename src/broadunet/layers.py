@@ -134,13 +134,28 @@ def factor_specs(spec: ConvSpec) -> list:
 # per-block partials and an input-gradient row takes its taps in block order,
 # so those gradients, and outputs where the BLAS rounds a product by its row
 # count, may differ from a one-block run in the last bits.
+#
+# A plan whose span is at least _BOX_FACTOR times its output rows multiplies
+# mostly padding on that grid: the atrous ASPP taps on a bottleneck about as
+# wide as their rate (Chen et al. 2017, arXiv:1706.05587, section 3.3). Such a
+# plan takes the boxed layout instead. Along each axis, the outputs whose
+# window of a live tap reads data form one range, so each tap has an output
+# box and the input box those outputs read. Forward gathers each tap's input
+# box as rows, runs one GEMM and adds it into the output box; backward does
+# grad_w[tap] = rows.T @ g_box and grad_x[in_box] += g_box @ W[tap].T. Taps
+# run in row-major order, so each output sums its taps in the grid kernel's
+# order, but the GEMMs run over other row counts, which may move last bits.
+# This layout pads nothing, builds no grid and crops nothing; on dense plans
+# its gathers cost more than the padding it skips, hence the dispatch.
 
 _BLOCK_BYTES = 1 << 17
+_BOX_FACTOR = 2
 
 
 @dataclass(frozen=True)
 class _TapPlan:
-    """Live taps and grid layout of one ConvSpec on fixed input extents."""
+    """Live taps, grid layout and, in the boxed layout, tap boxes of one
+    ConvSpec on fixed input extents."""
 
     taps: tuple        # ((i, j, k), flat row offset) per live tap, row-major
     pads: tuple        # per-axis (before, after) zero padding actually applied
@@ -148,6 +163,8 @@ class _TapPlan:
     out_thw: tuple     # (T', H', W')
     span: int          # grid rows from the first to the last output position
     blocks: tuple      # (start, end) grid rows of each row block of the span
+    boxes: tuple       # ((i, j, k), output box, input box) per live tap,
+                       # row-major, in the boxed layout; () on the grid
 
 
 # a Broad-UNet uses 88 distinct (spec, extents) pairs per input shape
@@ -184,7 +201,21 @@ def _tap_plan(spec: ConvSpec, in_thw: tuple) -> _TapPlan:
     step = span if len(taps) < 2 else max(
         1, _BLOCK_BYTES // (4 * max(spec.in_channels, spec.out_channels)))
     blocks = tuple((s, min(s + step, span)) for s in range(0, span, step))
-    return _TapPlan(taps, tuple(pads), padded_thw, out_thw, span, blocks)
+    boxes = ()
+    if span >= _BOX_FACTOR * to * ho * wo:
+        # along an axis, output row r of tap i reads input row r + a, so
+        # the tap reaches outputs [max(0, -a), min(o, n - a)), which read
+        # inputs [max(a, 0), min(o + a, n))
+        clips = [{i: (slice(max(0, -a), min(o, n - a)),
+                      slice(max(a, 0), min(o + a, n)))
+                  for i, a in offsets.items()}
+                 for n, o, offsets in zip(in_thw, out_thw, axes)]
+        boxes = tuple(((i, j, k), (ot, oh, ow), (it, ih, iw))
+                      for i, (ot, it) in clips[0].items()
+                      for j, (oh, ih) in clips[1].items()
+                      for k, (ow, iw) in clips[2].items())
+    return _TapPlan(taps, tuple(pads), padded_thw, out_thw, span, blocks,
+                    boxes)
 
 
 def _pad(x, plan: _TapPlan):
@@ -204,7 +235,8 @@ class ConvTape:
     """Forward activations cached for the matching backward call.
 
     The tape references the conv's own contiguous input, so sibling convs
-    on one input share one array; backward pads it again. Nothing may
+    on one input share one array. The grid kernel's backward pads it again;
+    the boxed kernel's backward gathers its tap boxes from it. Nothing may
     write into a training forward's input before its backward.
     """
 
@@ -228,10 +260,22 @@ def conv3d_forward(x, weights, bias, spec: ConvSpec):
         raise ValueError(f"weights shape {weights.shape} != {spec.weight_shape()}")
     x = np.ascontiguousarray(x)
     plan = _tap_plan(spec, x.shape[:3])
-    rows = _pad(x, plan).reshape(-1, spec.in_channels)
+    if plan.boxes:
+        y = _boxed_forward(x, weights, plan)
+    else:
+        y = _grid_forward(x, weights, plan)
+    if bias is not None:
+        _add_bias(y, bias)
+    tape = ConvTape(x, weights, spec, x.shape)
+    return y, tape
+
+
+def _grid_forward(x, weights, plan: _TapPlan):
+    rows = _pad(x, plan).reshape(-1, x.shape[3])
     to, ho, wo = plan.out_thw
     _, hp, wp = plan.padded_thw
-    grid = np.empty((to * hp * wp, spec.out_channels), dtype=x.dtype)
+    cout = weights.shape[4]
+    grid = np.empty((to * hp * wp, cout), dtype=x.dtype)
     acc = grid[:plan.span]
     if not plan.taps:
         acc[...] = 0
@@ -243,13 +287,19 @@ def conv3d_forward(x, weights, bias, spec: ConvSpec):
                 np.matmul(window, weights[tap], out=part)
             else:
                 part += window @ weights[tap]
-    y = grid.reshape(to, hp, wp, spec.out_channels)
+    y = grid.reshape(to, hp, wp, cout)
     if (hp, wp) != (ho, wo):
         y = np.ascontiguousarray(y[:, :ho, :wo])
-    if bias is not None:
-        _add_bias(y, bias)
-    tape = ConvTape(x, weights, spec, x.shape)
-    return y, tape
+    return y
+
+
+def _boxed_forward(x, weights, plan: _TapPlan):
+    y = np.zeros((*plan.out_thw, weights.shape[4]), dtype=x.dtype)
+    for tap, out_box, in_box in plan.boxes:
+        window = x[in_box]
+        prod = window.reshape(-1, x.shape[3]) @ weights[tap]
+        y[out_box] += prod.reshape(*window.shape[:3], -1)
+    return y
 
 
 def conv3d_backward(tape: ConvTape, grad_out):
@@ -259,23 +309,34 @@ def conv3d_backward(tape: ConvTape, grad_out):
     out_shape = (*plan.out_thw, spec.out_channels)
     if grad_out.shape != out_shape:
         raise ValueError(f"grad shape {grad_out.shape} != output shape {out_shape}")
+    if plan.boxes:
+        grad_x, grad_w = _boxed_backward(tape.padded, tape.weights, plan,
+                                         grad_out)
+    else:
+        grad_x, grad_w = _grid_backward(tape.padded, tape.weights, plan,
+                                        grad_out)
+    grad_b = _bias_grad(grad_out) if spec.bias else None
+    return grad_x, grad_w, grad_b
+
+
+def _grid_backward(x, weights, plan: _TapPlan, grad_out):
     to, ho, wo = plan.out_thw
     _, hp, wp = plan.padded_thw
     if (hp, wp) != (ho, wo):
         # embed in the padded grid; zeros keep the cropped rows out of sums
-        grid = np.zeros((to, hp, wp, spec.out_channels), dtype=grad_out.dtype)
+        grid = np.zeros((to, hp, wp, grad_out.shape[3]), dtype=grad_out.dtype)
         grid[:, :ho, :wo] = grad_out
     else:
         grid = np.ascontiguousarray(grad_out)
-    g = grid.reshape(-1, spec.out_channels)[:plan.span]
-    xp = _pad(tape.padded, plan)
-    rows = xp.reshape(-1, spec.in_channels)
-    grad_w = np.zeros(tape.weights.shape, dtype=tape.weights.dtype)
+    g = grid.reshape(-1, grad_out.shape[3])[:plan.span]
+    xp = _pad(x, plan)
+    rows = xp.reshape(-1, x.shape[3])
+    grad_w = np.zeros(weights.shape, dtype=weights.dtype)
     if len(plan.taps) == 1 and plan.span == len(rows):
         # a lone tap over the whole grid (pointwise): nothing to accumulate
         (tap, _), = plan.taps
         grad_w[tap] = rows.T @ g
-        grad_rows = g @ tape.weights[tap].T
+        grad_rows = g @ weights[tap].T
     else:
         grad_rows = np.zeros(rows.shape, dtype=rows.dtype)
         for s, e in plan.blocks:
@@ -286,14 +347,25 @@ def conv3d_backward(tape: ConvTape, grad_out):
                     grad_w[tap] = rows[window].T @ part
                 else:
                     grad_w[tap] += rows[window].T @ part
-                grad_rows[window] += part @ tape.weights[tap].T
+                grad_rows[window] += part @ weights[tap].T
     grad_x = grad_rows.reshape(xp.shape)
-    if plan.padded_thw != tape.in_shape[:3]:
+    if plan.padded_thw != x.shape[:3]:
         (pt, _), (ph, _), (pw, _) = plan.pads
-        t, h, w, _ = tape.in_shape
+        t, h, w, _ = x.shape
         grad_x = np.ascontiguousarray(grad_x[pt:pt + t, ph:ph + h, pw:pw + w])
-    grad_b = _bias_grad(grad_out) if spec.bias else None
-    return grad_x, grad_w, grad_b
+    return grad_x, grad_w
+
+
+def _boxed_backward(x, weights, plan: _TapPlan, grad_out):
+    grad_x = np.zeros(x.shape, dtype=x.dtype)
+    grad_w = np.zeros(weights.shape, dtype=weights.dtype)
+    for tap, out_box, in_box in plan.boxes:
+        window = x[in_box]
+        rows = window.reshape(-1, x.shape[3])
+        g = grad_out[out_box].reshape(-1, grad_out.shape[3])
+        grad_w[tap] = rows.T @ g
+        grad_x[in_box] += (g @ weights[tap].T).reshape(window.shape)
+    return grad_x, grad_w
 
 
 # NumPy loops over the last axis innermost, and a C-long inner loop is slow

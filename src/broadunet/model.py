@@ -220,6 +220,10 @@ class Model:
     def forward(self, x, train=False, rng=None):
         if not self.initialized:
             raise RuntimeError("model parameters not initialized")
+        # denormals are zero at the input, as in CPU deep-learning runtimes:
+        # subnormal pixels (f32 casts of Gaussian tails) would slow the
+        # first convs' GEMMs several-fold, so they enter as +0
+        x = np.where(np.abs(x) < np.finfo(x.dtype).tiny, 0, x)
         return self.root.forward(x, train=train, rng=rng)
 
     def backward(self, grad):

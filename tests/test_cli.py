@@ -1048,7 +1048,8 @@ class TestGradCheckCommand:
         assert run(["grad-check", "--arch", "layers"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
-        assert out.count("pass") == 8
+        assert out.count("pass") == 9
+        assert "pass conv3d_atrous:" in out  # the boxed conv kernel
 
     def test_seed_moves_the_primitive_layer_checks(self, capsys):
         outs = []
@@ -1056,7 +1057,7 @@ class TestGradCheckCommand:
             assert run(["grad-check", "--arch", "layers", "--seed", seed]) == 0
             outs.append(capsys.readouterr().out)
         assert outs[0] != outs[1]
-        assert all(out.count("pass") == 8 for out in outs)
+        assert all(out.count("pass") == 9 for out in outs)
 
     @pytest.mark.parametrize("arch", ["broad-unet", "unet"])
     def test_mini_network_passes(self, capsys, arch):

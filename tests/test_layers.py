@@ -348,6 +348,188 @@ class TestRowBlocks:
         assert seen and all(len(plan.blocks) == 1 for plan in seen)
 
 
+@pytest.fixture
+def box_factor(monkeypatch):
+    """`set(factor)` replaces the dispatch factor of the boxed layout; cached
+    plans are dropped on each change and after the test."""
+    def set_factor(factor):
+        monkeypatch.setattr(layers, "_BOX_FACTOR", factor)
+        layers._tap_plan.cache_clear()
+    yield set_factor
+    layers._tap_plan.cache_clear()
+
+
+def _atrous(rate, cin=3, cout=2):
+    return ConvSpec((1, 3, 3), cin, cout, dilation=(1, rate, rate))
+
+
+def _conv_plans(arch, lags, hw, f0):
+    """{conv path: (spec, input extents, plan)} of a model's convs, from the
+    shapes that `out_shape` propagates; nothing is allocated."""
+    model = ARCHS[arch](ModelConfig(lags=lags, height=hw, width=hw,
+                                    base_filters=f0))
+    names = {id(conv): name for name, conv in model.root.convs()}
+    plans, real = {}, Conv3D.out_shape
+
+    def recording(conv, shape):
+        in_thw = tuple(shape[:3])
+        plans[names[id(conv)]] = (conv.spec, in_thw,
+                                  layers._tap_plan(conv.spec, in_thw))
+        return real(conv, shape)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Conv3D, "out_shape", recording)
+        model.out_shape()
+    return plans
+
+
+def _data_macs(spec, in_thw):
+    """MACs of the (output, tap) pairs whose window reads data, counted
+    output row by output row along each axis, over every tap."""
+    out_thw = spec.out_extents(in_thw)
+    total = 0
+    for tap in np.ndindex(*spec.kernel):
+        reach = 1
+        for i, n, o, d, (before, _) in zip(tap, in_thw, out_thw,
+                                           spec.dilation, spec.pad_pairs()):
+            reach *= sum(0 <= r + i * d - before < n for r in range(o))
+        total += reach
+    return total * spec.in_channels * spec.out_channels
+
+
+def _grid_macs(spec, plan):
+    """MACs the flat-offset kernel multiplies: every live tap over the span."""
+    return len(plan.taps) * plan.span * spec.in_channels * spec.out_channels
+
+
+def _boxed_macs(spec, plan):
+    """MACs the boxed kernel multiplies: every live tap over its box."""
+    rows = sum(int(np.prod([b.stop - b.start for b in out_box]))
+               for _, out_box, _ in plan.boxes)
+    return rows * spec.in_channels * spec.out_channels
+
+
+class TestBoxedPlans:
+    """Plans whose grid spans at least `_BOX_FACTOR` x their output rows
+    run each live tap over the outputs it reaches."""
+
+    @pytest.mark.parametrize("spec,in_thw,boxed", [
+        (_atrous(6), (2, 18, 18), True),
+        (_atrous(12), (2, 19, 19), True),
+        (_atrous(18), (2, 19, 19), True),
+        # rate 18 at 18x18 leaves only the centre tap: no padding, no grid
+        (_atrous(18), (2, 18, 18), False),
+        # (lags, 1, 1) valid reduce: a 12x larger input, but its span is its
+        # output rows
+        (ConvSpec((12, 1, 1), 8, 8, padding="valid"), (12, 18, 18), False),
+        (ConvSpec((1, 1, 3), 8, 8), (12, 288, 288), False),
+        (ConvSpec((1, 3, 3), 3, 2, dilation=(1, 6, 6)), (2, 9, 9), True),
+    ])
+    def test_dispatch_compares_span_with_output_rows(self, spec, in_thw,
+                                                     boxed):
+        plan = layers._tap_plan(spec, in_thw)
+        out_rows = int(np.prod(plan.out_thw))
+        assert (plan.span >= layers._BOX_FACTOR * out_rows) == boxed
+        assert bool(plan.boxes) == boxed
+        if boxed:
+            assert [tap for tap, _, _ in plan.boxes] == [
+                tap for tap, _ in plan.taps]
+
+    # factor 1 sends every plan down the boxed layout, so rate 18 at 18x18,
+    # whose one live tap keeps it on the grid otherwise, is covered as well
+    @pytest.mark.parametrize("spec,shape", [
+        *(pytest.param(_atrous(rate), (2, hw, hw, 3), id=f"rate{rate}_{hw}")
+          for rate in (6, 12, 18) for hw in (18, 19)),
+        # dilated along T as well: boxes clip all three axes
+        pytest.param(ConvSpec((3, 3, 3), 2, 3, dilation=(2, 4, 5)),
+                     (3, 6, 7, 2), id="dilated_thw"),
+        pytest.param(ConvSpec((2, 3, 3), 2, 3, padding="valid",
+                              dilation=(1, 2, 2)), (2, 5, 5, 2),
+                     id="dilated_valid"),
+    ])
+    def test_matches_naive_oracle(self, box_factor, spec, shape):
+        box_factor(1)
+        assert layers._tap_plan(spec, shape[:3]).boxes
+        rng = np.random.default_rng(37)
+        x = rng.standard_normal(shape)
+        w = rng.standard_normal(spec.weight_shape())
+        b = rng.standard_normal(spec.out_channels)
+        y, tape = conv3d_forward(x, w, b, spec)
+        np.testing.assert_allclose(y, naive_conv3d(x, w, b, spec),
+                                   rtol=1e-12, atol=1e-12)
+        g = rng.standard_normal(y.shape)
+        gx, gw, gb = conv3d_backward(tape, g)
+        want_gx, want_gw = naive_conv3d_backward(x, w, spec, g)
+        np.testing.assert_allclose(gx, want_gx, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(gw, want_gw, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(gb, g.sum(axis=(0, 1, 2)), rtol=1e-12)
+
+    def test_grad_check(self):
+        spec = ConvSpec((2, 3, 3), 2, 3, dilation=(1, 5, 5))
+        assert layers._tap_plan(spec, (3, 7, 8)).boxes
+        report = grad_check(Conv3D(spec), in_shape=(3, 7, 8, 2), tol=1e-6,
+                            seed=41)
+        assert report.passed, report
+
+    def test_reruns_are_bitwise_identical(self):
+        spec = _atrous(6, cin=16, cout=8)
+        assert layers._tap_plan(spec, (3, 18, 18)).boxes
+        rng = np.random.default_rng(43)
+        x = rng.standard_normal((3, 18, 18, 16)).astype(np.float32)
+        w = rng.standard_normal(spec.weight_shape()).astype(np.float32)
+        b = rng.standard_normal(spec.out_channels).astype(np.float32)
+        g = rng.standard_normal((3, 18, 18, 8)).astype(np.float32)
+        runs = []
+        for _ in range(3):
+            y, tape = conv3d_forward(x, w, b, spec)
+            runs.append([a.tobytes() for a in (y, *conv3d_backward(tape, g))])
+        assert runs[1:] == runs[:1] * 2
+
+    @pytest.mark.parametrize("arch,lags,hw,f0,boxed", [
+        # train_desk and predict_cli shapes: the ASPP convs reduce to their
+        # centre tap, so no broad-unet conv takes the boxed layout
+        ("broad-unet", 4, 32, 4, []),
+        ("broad-unet", 12, 64, 8, []),
+        ("broad-unet", 12, 288, 8, ["aspp.dilated6", "aspp.dilated12"]),
+        ("broad-unet", 12, 288, 64, ["aspp.dilated6", "aspp.dilated12"]),
+        ("unet", 4, 32, 4, ["enc3.0", "enc3.2", "enc4.0", "enc4.2"]),
+        ("unet", 12, 64, 8, ["enc4.0", "enc4.2"]),
+        ("unet", 12, 288, 8, []),
+        ("unet", 12, 288, 64, []),
+    ])
+    def test_which_convs_take_the_boxed_layout(self, arch, lags, hw, f0,
+                                               boxed):
+        plans = _conv_plans(arch, lags, hw, f0)
+        assert [name for name, (_, _, plan) in plans.items()
+                if plan.boxes] == boxed
+
+    @pytest.mark.parametrize("f0,grid,box,by_rate", [
+        (8, 4.57, 0.59, None),
+        (64, 292.51, 37.60, {6: (98.41, 22.20), 12: (190.03, 11.32),
+                             18: (4.08, 4.08)}),
+    ])
+    def test_boxed_macs_are_the_data_touching_macs(self, f0, grid, box,
+                                                   by_rate):
+        plans = _conv_plans("broad-unet", 12, 288, f0)
+        table = {}
+        for name, (spec, in_thw, plan) in plans.items():
+            if max(spec.dilation) == 1:
+                continue
+            data = _data_macs(spec, in_thw)
+            run = _boxed_macs(spec, plan) if plan.boxes else _grid_macs(
+                spec, plan)
+            # a grid plan left on the grid multiplies no padding either
+            assert run == data, name
+            table[spec.dilation[1]] = (_grid_macs(spec, plan) / 1e9,
+                                       run / 1e9)
+        assert sorted(table) == [6, 12, 18]
+        assert round(sum(g for g, _ in table.values()), 2) == grid
+        assert round(sum(r for _, r in table.values()), 2) == box
+        if by_rate:
+            assert {rate: (round(g, 2), round(r, 2))
+                    for rate, (g, r) in table.items()} == by_rate
+
+
 class TestFactorize:
     def test_order_channels_and_bias(self):
         specs = factor_specs(ConvSpec((3, 3, 3), 4, 8))

@@ -193,6 +193,28 @@ class TestPredict:
             (2, 16, 16, 1), dtype=np.float32))
         assert not y.any()
 
+    def test_subnormal_inputs_enter_as_zero(self):
+        model = build_broad_unet(mini_config()).initialize(seed=9)
+        x = np.random.default_rng(9).random((2, 16, 16, 1), dtype=np.float32)
+        tiny = np.finfo(np.float32).tiny
+        planted = x.copy()
+        planted.flat[[3, 40, 41, 200, 511]] = [tiny / 2, -tiny / 3, 1e-45,
+                                               -1e-45, -0.0]
+        zeroed = x.copy()
+        zeroed.flat[[3, 40, 41, 200, 511]] = 0.0
+        before = planted.copy()
+        assert model.predict(planted).tobytes() == model.predict(zeroed).tobytes()
+        outs = []
+        for window in (planted, zeroed):
+            outs.append(model.forward(window, train=True,
+                                      rng=np.random.default_rng(1)).tobytes())
+            # the first conv tapes its input: the flushed copy, +0 for each
+            # subnormal
+            _, first = next(model.root.convs())
+            assert first._tape.padded.tobytes() == zeroed.tobytes()
+        assert outs[0] == outs[1]
+        assert planted.tobytes() == before.tobytes()  # the caller's window
+
 
 def reachable_layers(root):
     """Every Layer reachable from `root` through attributes, lists and
