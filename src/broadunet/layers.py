@@ -146,10 +146,16 @@ def factor_specs(spec: ConvSpec) -> list:
 # run in row-major order, so each output sums its taps in the grid kernel's
 # order, but the GEMMs run over other row counts, which may move last bits.
 # This layout pads nothing, builds no grid and crops nothing; on dense plans
-# its gathers cost more than the padding it skips, hence the dispatch.
+# its gathers cost more than the padding it skips, hence the dispatch. On
+# maps a few pixels wide its per-tap gathers and scatters cost more than
+# the grid's tiny GEMMs, so a plan also keeps the grid unless its boxes hold
+# at most 1/_BOX_MACS of the grid's MACs (live taps x span): the unet's 4x4
+# (3,3,3) convs at 32x32 input span 2.03x their outputs and would box 28.5%
+# of the grid's MACs, yet run slower boxed.
 
 _BLOCK_BYTES = 1 << 17
-_BOX_FACTOR = 2
+_BOX_FACTOR = 2  # grid span against output rows
+_BOX_MACS = 4    # grid MACs against boxed MACs
 
 
 @dataclass(frozen=True)
@@ -214,6 +220,10 @@ def _tap_plan(spec: ConvSpec, in_thw: tuple) -> _TapPlan:
                       for i, (ot, it) in clips[0].items()
                       for j, (oh, ih) in clips[1].items()
                       for k, (ow, iw) in clips[2].items())
+        box_rows = sum((ot.stop - ot.start) * (oh.stop - oh.start)
+                       * (ow.stop - ow.start) for _, (ot, oh, ow), _ in boxes)
+        if _BOX_MACS * box_rows > len(taps) * span:
+            boxes = ()
     return _TapPlan(taps, tuple(pads), padded_thw, out_thw, span, blocks,
                     boxes)
 
@@ -261,21 +271,20 @@ def conv3d_forward(x, weights, bias, spec: ConvSpec):
     x = np.ascontiguousarray(x)
     plan = _tap_plan(spec, x.shape[:3])
     if plan.boxes:
-        y = _boxed_forward(x, weights, plan)
+        y = _boxed_forward(x, weights, spec, plan)
     else:
-        y = _grid_forward(x, weights, plan)
+        y = _grid_forward(x, weights, spec, plan)
     if bias is not None:
         _add_bias(y, bias)
     tape = ConvTape(x, weights, spec, x.shape)
     return y, tape
 
 
-def _grid_forward(x, weights, plan: _TapPlan):
-    rows = _pad(x, plan).reshape(-1, x.shape[3])
+def _grid_forward(x, weights, spec: ConvSpec, plan: _TapPlan):
+    rows = _pad(x, plan).reshape(-1, spec.in_channels)
     to, ho, wo = plan.out_thw
     _, hp, wp = plan.padded_thw
-    cout = weights.shape[4]
-    grid = np.empty((to * hp * wp, cout), dtype=x.dtype)
+    grid = np.empty((to * hp * wp, spec.out_channels), dtype=x.dtype)
     acc = grid[:plan.span]
     if not plan.taps:
         acc[...] = 0
@@ -287,17 +296,17 @@ def _grid_forward(x, weights, plan: _TapPlan):
                 np.matmul(window, weights[tap], out=part)
             else:
                 part += window @ weights[tap]
-    y = grid.reshape(to, hp, wp, cout)
+    y = grid.reshape(to, hp, wp, spec.out_channels)
     if (hp, wp) != (ho, wo):
         y = np.ascontiguousarray(y[:, :ho, :wo])
     return y
 
 
-def _boxed_forward(x, weights, plan: _TapPlan):
-    y = np.zeros((*plan.out_thw, weights.shape[4]), dtype=x.dtype)
+def _boxed_forward(x, weights, spec: ConvSpec, plan: _TapPlan):
+    y = np.zeros((*plan.out_thw, spec.out_channels), dtype=x.dtype)
     for tap, out_box, in_box in plan.boxes:
         window = x[in_box]
-        prod = window.reshape(-1, x.shape[3]) @ weights[tap]
+        prod = window.reshape(-1, spec.in_channels) @ weights[tap]
         y[out_box] += prod.reshape(*window.shape[:3], -1)
     return y
 
@@ -310,33 +319,32 @@ def conv3d_backward(tape: ConvTape, grad_out):
     if grad_out.shape != out_shape:
         raise ValueError(f"grad shape {grad_out.shape} != output shape {out_shape}")
     if plan.boxes:
-        grad_x, grad_w = _boxed_backward(tape.padded, tape.weights, plan,
-                                         grad_out)
+        grad_x, grad_w = _boxed_backward(tape, plan, grad_out)
     else:
-        grad_x, grad_w = _grid_backward(tape.padded, tape.weights, plan,
-                                        grad_out)
+        grad_x, grad_w = _grid_backward(tape, plan, grad_out)
     grad_b = _bias_grad(grad_out) if spec.bias else None
     return grad_x, grad_w, grad_b
 
 
-def _grid_backward(x, weights, plan: _TapPlan, grad_out):
+def _grid_backward(tape: ConvTape, plan: _TapPlan, grad_out):
+    spec = tape.spec
     to, ho, wo = plan.out_thw
     _, hp, wp = plan.padded_thw
     if (hp, wp) != (ho, wo):
         # embed in the padded grid; zeros keep the cropped rows out of sums
-        grid = np.zeros((to, hp, wp, grad_out.shape[3]), dtype=grad_out.dtype)
+        grid = np.zeros((to, hp, wp, spec.out_channels), dtype=grad_out.dtype)
         grid[:, :ho, :wo] = grad_out
     else:
         grid = np.ascontiguousarray(grad_out)
-    g = grid.reshape(-1, grad_out.shape[3])[:plan.span]
-    xp = _pad(x, plan)
-    rows = xp.reshape(-1, x.shape[3])
-    grad_w = np.zeros(weights.shape, dtype=weights.dtype)
+    g = grid.reshape(-1, spec.out_channels)[:plan.span]
+    xp = _pad(tape.padded, plan)
+    rows = xp.reshape(-1, spec.in_channels)
+    grad_w = np.zeros(tape.weights.shape, dtype=tape.weights.dtype)
     if len(plan.taps) == 1 and plan.span == len(rows):
         # a lone tap over the whole grid (pointwise): nothing to accumulate
         (tap, _), = plan.taps
         grad_w[tap] = rows.T @ g
-        grad_rows = g @ weights[tap].T
+        grad_rows = g @ tape.weights[tap].T
     else:
         grad_rows = np.zeros(rows.shape, dtype=rows.dtype)
         for s, e in plan.blocks:
@@ -347,24 +355,25 @@ def _grid_backward(x, weights, plan: _TapPlan, grad_out):
                     grad_w[tap] = rows[window].T @ part
                 else:
                     grad_w[tap] += rows[window].T @ part
-                grad_rows[window] += part @ weights[tap].T
+                grad_rows[window] += part @ tape.weights[tap].T
     grad_x = grad_rows.reshape(xp.shape)
-    if plan.padded_thw != x.shape[:3]:
+    if plan.padded_thw != tape.in_shape[:3]:
         (pt, _), (ph, _), (pw, _) = plan.pads
-        t, h, w, _ = x.shape
+        t, h, w, _ = tape.in_shape
         grad_x = np.ascontiguousarray(grad_x[pt:pt + t, ph:ph + h, pw:pw + w])
     return grad_x, grad_w
 
 
-def _boxed_backward(x, weights, plan: _TapPlan, grad_out):
+def _boxed_backward(tape: ConvTape, plan: _TapPlan, grad_out):
+    spec, x = tape.spec, tape.padded
     grad_x = np.zeros(x.shape, dtype=x.dtype)
-    grad_w = np.zeros(weights.shape, dtype=weights.dtype)
+    grad_w = np.zeros(tape.weights.shape, dtype=tape.weights.dtype)
     for tap, out_box, in_box in plan.boxes:
         window = x[in_box]
-        rows = window.reshape(-1, x.shape[3])
-        g = grad_out[out_box].reshape(-1, grad_out.shape[3])
+        rows = window.reshape(-1, spec.in_channels)
+        g = grad_out[out_box].reshape(-1, spec.out_channels)
         grad_w[tap] = rows.T @ g
-        grad_x[in_box] += (g @ weights[tap].T).reshape(window.shape)
+        grad_x[in_box] += (g @ tape.weights[tap].T).reshape(window.shape)
     return grad_x, grad_w
 
 

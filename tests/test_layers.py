@@ -98,6 +98,9 @@ class TestConvForward:
         (ConvSpec((2, 3, 3), 2, 2, dilation=(2, 2, 2), padding="valid"),
          (4, 7, 6, 2)),
         (ConvSpec((1, 1, 1), 3, 2), (2, 3, 4, 3)),
+        # the same dilated valid spec on a wider input stays on the grid
+        (ConvSpec((2, 3, 3), 2, 2, dilation=(2, 2, 2), padding="valid"),
+         (4, 12, 12, 2)),
     ])
     def test_matches_naive_oracle(self, spec, shape):
         rng = np.random.default_rng(7)
@@ -249,15 +252,18 @@ def block_rows(monkeypatch):
     layers._tap_plan.cache_clear()
 
 
-# specs and input shapes whose spans are cut into several row blocks
+# specs and input shapes whose spans are cut into several row blocks; each
+# plan stays on the grid
 BLOCKED_CASES = [
     pytest.param(ConvSpec((2, 3, 3), 2, 3), (3, 5, 6, 2), id="same"),
     pytest.param(ConvSpec((3, 3, 3), 1, 2, padding="valid"), (4, 6, 6, 1),
                  id="valid"),
     pytest.param(ConvSpec((1, 3, 3), 2, 2, dilation=(1, 2, 2)), (2, 7, 7, 2),
                  id="dilated"),
+    # span 236 for 128 outputs; on (4, 7, 6) it spans 56 for 12 and boxes
     pytest.param(ConvSpec((2, 3, 3), 2, 2, dilation=(2, 2, 2),
-                          padding="valid"), (4, 7, 6, 2), id="dilated_valid"),
+                          padding="valid"), (4, 12, 12, 2),
+                 id="dilated_valid"),
     pytest.param(ConvSpec((5, 1, 1), 2, 3), (6, 3, 4, 2), id="temporal"),
 ]
 
@@ -289,7 +295,7 @@ class TestRowBlocks:
     def test_matches_naive_oracle(self, block_rows, spec, shape, rows):
         block_rows(spec, rows)
         plan = layers._tap_plan(spec, shape[:3])
-        assert len(plan.blocks) > 1
+        assert len(plan.blocks) > 1 and not plan.boxes
         assert rows == 1 or plan.span % rows
         rng = np.random.default_rng(29)
         x = rng.standard_normal(shape)
@@ -321,13 +327,15 @@ class TestRowBlocks:
         outs = []
         for rows in (1, 5, 64, 1 << 20):
             block_rows(spec, rows)
+            assert not layers._tap_plan(spec, shape[:3]).boxes
             outs.append(conv3d_forward(x, w, b, spec)[0].tobytes())
         assert outs[1:] == outs[:1] * 3
 
     def test_grad_check_on_a_multi_block_plan(self, block_rows):
         spec = ConvSpec((2, 3, 3), 3, 4)
         block_rows(spec, 13)
-        assert len(layers._tap_plan(spec, (3, 7, 8)).blocks) > 1
+        plan = layers._tap_plan(spec, (3, 7, 8))
+        assert len(plan.blocks) > 1 and not plan.boxes
         report = grad_check(Conv3D(spec), in_shape=(3, 7, 8, 3), tol=1e-6,
                             seed=23)
         assert report.passed, report
@@ -349,13 +357,13 @@ class TestRowBlocks:
 
 
 @pytest.fixture
-def box_factor(monkeypatch):
-    """`set(factor)` replaces the dispatch factor of the boxed layout; cached
-    plans are dropped on each change and after the test."""
-    def set_factor(factor):
-        monkeypatch.setattr(layers, "_BOX_FACTOR", factor)
-        layers._tap_plan.cache_clear()
-    yield set_factor
+def every_plan_boxed(monkeypatch):
+    """Sets both dispatch factors so that every plan with a live tap takes
+    the boxed layout; cached plans are dropped before and after the test."""
+    monkeypatch.setattr(layers, "_BOX_FACTOR", 1)
+    monkeypatch.setattr(layers, "_BOX_MACS", 0)
+    layers._tap_plan.cache_clear()
+    yield
     layers._tap_plan.cache_clear()
 
 
@@ -410,11 +418,15 @@ def _boxed_macs(spec, plan):
 
 
 class TestBoxedPlans:
-    """Plans whose grid spans at least `_BOX_FACTOR` x their output rows
-    run each live tap over the outputs it reaches."""
+    """Plans whose grid spans at least `_BOX_FACTOR` x their output rows,
+    and whose boxes hold at most 1/`_BOX_MACS` of the grid's MACs, run each
+    live tap over the outputs it reaches."""
 
     @pytest.mark.parametrize("spec,in_thw,boxed", [
-        (_atrous(6), (2, 18, 18), True),
+        (_atrous(6), (12, 18, 18), True),
+        # two frames: span 2.20x the outputs, but the boxes hold 27.4% of the
+        # grid's MACs (22.6% at 12 frames)
+        (_atrous(6), (2, 18, 18), False),
         (_atrous(12), (2, 19, 19), True),
         (_atrous(18), (2, 19, 19), True),
         # rate 18 at 18x18 leaves only the centre tap: no padding, no grid
@@ -424,19 +436,26 @@ class TestBoxedPlans:
         (ConvSpec((12, 1, 1), 8, 8, padding="valid"), (12, 18, 18), False),
         (ConvSpec((1, 1, 3), 8, 8), (12, 288, 288), False),
         (ConvSpec((1, 3, 3), 3, 2, dilation=(1, 6, 6)), (2, 9, 9), True),
+        # the unet's (3, 3, 3) convs at 32x32 input: on 4x4 maps the span is
+        # 2.03x the outputs but the boxes hold 28.5% of the grid's MACs, so
+        # the grid stays; on 2x2 maps they hold 11.0%
+        (ConvSpec((3, 3, 3), 16, 32), (4, 4, 4), False),
+        (ConvSpec((3, 3, 3), 32, 64), (4, 2, 2), True),
     ])
-    def test_dispatch_compares_span_with_output_rows(self, spec, in_thw,
-                                                     boxed):
+    def test_dispatch_rule(self, spec, in_thw, boxed):
         plan = layers._tap_plan(spec, in_thw)
         out_rows = int(np.prod(plan.out_thw))
-        assert (plan.span >= layers._BOX_FACTOR * out_rows) == boxed
+        grid = _grid_macs(spec, plan)
+        box = _data_macs(spec, in_thw)
+        assert (plan.span >= layers._BOX_FACTOR * out_rows
+                and layers._BOX_MACS * box <= grid) == boxed
         assert bool(plan.boxes) == boxed
         if boxed:
             assert [tap for tap, _, _ in plan.boxes] == [
                 tap for tap, _ in plan.taps]
 
-    # factor 1 sends every plan down the boxed layout, so rate 18 at 18x18,
-    # whose one live tap keeps it on the grid otherwise, is covered as well
+    # every plan takes the boxed layout here, so rate 18 at 18x18, whose one
+    # live tap keeps it on the grid otherwise, is covered as well
     @pytest.mark.parametrize("spec,shape", [
         *(pytest.param(_atrous(rate), (2, hw, hw, 3), id=f"rate{rate}_{hw}")
           for rate in (6, 12, 18) for hw in (18, 19)),
@@ -446,9 +465,12 @@ class TestBoxedPlans:
         pytest.param(ConvSpec((2, 3, 3), 2, 3, padding="valid",
                               dilation=(1, 2, 2)), (2, 5, 5, 2),
                      id="dilated_valid"),
+        # boxed under the default rule too: span 56 for 12 outputs
+        pytest.param(ConvSpec((2, 3, 3), 2, 2, padding="valid",
+                              dilation=(2, 2, 2)), (4, 7, 6, 2),
+                     id="dilated_valid_narrow"),
     ])
-    def test_matches_naive_oracle(self, box_factor, spec, shape):
-        box_factor(1)
+    def test_matches_naive_oracle(self, every_plan_boxed, spec, shape):
         assert layers._tap_plan(spec, shape[:3]).boxes
         rng = np.random.default_rng(37)
         x = rng.standard_normal(shape)
@@ -464,21 +486,27 @@ class TestBoxedPlans:
         np.testing.assert_allclose(gw, want_gw, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(gb, g.sum(axis=(0, 1, 2)), rtol=1e-12)
 
-    def test_grad_check(self):
-        spec = ConvSpec((2, 3, 3), 2, 3, dilation=(1, 5, 5))
-        assert layers._tap_plan(spec, (3, 7, 8)).boxes
-        report = grad_check(Conv3D(spec), in_shape=(3, 7, 8, 2), tol=1e-6,
+    @pytest.mark.parametrize("spec,shape", [
+        pytest.param(ConvSpec((2, 3, 3), 2, 3, dilation=(1, 5, 5)),
+                     (3, 7, 8, 2), id="same"),
+        pytest.param(ConvSpec((2, 3, 3), 2, 2, padding="valid",
+                              dilation=(2, 2, 2)), (4, 7, 6, 2),
+                     id="dilated_valid"),
+    ])
+    def test_grad_check(self, spec, shape):
+        assert layers._tap_plan(spec, shape[:3]).boxes
+        report = grad_check(Conv3D(spec), in_shape=shape, tol=1e-6,
                             seed=41)
         assert report.passed, report
 
     def test_reruns_are_bitwise_identical(self):
         spec = _atrous(6, cin=16, cout=8)
-        assert layers._tap_plan(spec, (3, 18, 18)).boxes
+        assert layers._tap_plan(spec, (12, 18, 18)).boxes
         rng = np.random.default_rng(43)
-        x = rng.standard_normal((3, 18, 18, 16)).astype(np.float32)
+        x = rng.standard_normal((12, 18, 18, 16)).astype(np.float32)
         w = rng.standard_normal(spec.weight_shape()).astype(np.float32)
         b = rng.standard_normal(spec.out_channels).astype(np.float32)
-        g = rng.standard_normal((3, 18, 18, 8)).astype(np.float32)
+        g = rng.standard_normal((12, 18, 18, 8)).astype(np.float32)
         runs = []
         for _ in range(3):
             y, tape = conv3d_forward(x, w, b, spec)
@@ -492,8 +520,10 @@ class TestBoxedPlans:
         ("broad-unet", 12, 64, 8, []),
         ("broad-unet", 12, 288, 8, ["aspp.dilated6", "aspp.dilated12"]),
         ("broad-unet", 12, 288, 64, ["aspp.dilated6", "aspp.dilated12"]),
-        ("unet", 4, 32, 4, ["enc3.0", "enc3.2", "enc4.0", "enc4.2"]),
-        ("unet", 12, 64, 8, ["enc4.0", "enc4.2"]),
+        # the 4x4 and 8x8 (3, 3, 3) convs at 32x32 and the 4x4 ones at 64x64
+        # box over a quarter of their grid MACs, so only the 2x2 ones box
+        ("unet", 4, 32, 4, ["enc4.0", "enc4.2"]),
+        ("unet", 12, 64, 8, []),
         ("unet", 12, 288, 8, []),
         ("unet", 12, 288, 64, []),
     ])
@@ -854,9 +884,10 @@ class TestPrimitiveGradChecks:
          Conv3D(ConvSpec((1, 3, 3), 2, 2, dilation=(1, 6, 6))), (2, 2, 2, 2)),
         ("conv_all_taps_pad_only",
          Conv3D(ConvSpec((1, 2, 2), 1, 1, dilation=(1, 3, 3))), (1, 1, 1, 1)),
+        # stays on the grid; TestBoxedPlans grad-checks it on (4, 7, 6, 2)
         ("conv_dilated_valid", Conv3D(ConvSpec(
             (2, 3, 3), 2, 2, dilation=(2, 2, 2), padding="valid")),
-         (4, 7, 6, 2)),
+         (4, 12, 12, 2)),
         ("conv_pointwise", Conv3D(ConvSpec((1, 1, 1), 3, 2)), (2, 3, 4, 3)),
         ("parallel_unequal_widths", Parallel([
             ("a", Conv3D(ConvSpec((1, 3, 3), 2, 1))),
