@@ -144,7 +144,10 @@ def cmd_preprocess(args):
 
 def cmd_make_samples(args):
     seq = datapipe.load_frames(args.frames)
-    samples = datapipe.make_samples(seq, args.lags, args.horizon)
+    try:
+        samples = datapipe.make_samples(seq, args.lags, args.horizon)
+    except DataError as exc:
+        raise DataError(f"frames archive {args.frames}: {exc}") from None
     datapipe.save_samples(args.out, samples)
     print(f"{len(samples)} samples (lags={args.lags}, horizon={args.horizon}) "
           f"-> {args.out}")
@@ -260,13 +263,18 @@ def _primitive_layer_checks():
     conv = Conv3D(ConvSpec((2, 3, 3), 32, 4))
     dilated = Conv3D(ConvSpec((1, 3, 3), 2, 2, dilation=(1, 2, 2)))
     valid = Conv3D(ConvSpec((2, 3, 3), 2, 2, padding="valid"))
-    # rate 6 on a 9x9 map: its grid spans 618 rows for 162 outputs and its
-    # boxes hold 8% of the grid's MACs, so the plan takes the boxed layout
-    atrous = Conv3D(ConvSpec((1, 3, 3), 3, 2, dilation=(1, 6, 6)))
+    # rate 6 boxes 8% of the grid's MACs on a 9x9 map, and 20.3% on one
+    # 11x11 frame, just inside the boxed layout's bound of a quarter
+    atrous = ConvSpec((1, 3, 3), 3, 2, dilation=(1, 6, 6))
+    # every tap of this conv on one pixel reads padding, so it boxes to the
+    # bias
+    tapless = Conv3D(ConvSpec((1, 2, 2), 1, 1, dilation=(1, 3, 3)))
     return [
         ("conv3d_same", conv, (2, 24, 24, 32)),
         ("conv3d_dilated", dilated, (2, 8, 8, 2)),
-        ("conv3d_atrous", atrous, (2, 9, 9, 3)),
+        ("conv3d_atrous", Conv3D(atrous), (2, 9, 9, 3)),
+        ("conv3d_atrous_edge", Conv3D(atrous), (1, 11, 11, 3)),
+        ("conv3d_tapless", tapless, (1, 1, 1, 1)),
         ("conv3d_valid", valid, (4, 8, 8, 2)),
         ("maxpool", MaxPoolSpatial(), (2, 6, 6, 3)),
         ("upsample", UpsampleNearestSpatial(), (2, 4, 4, 3)),

@@ -49,7 +49,8 @@ class SampleSet:
 
     `inputs` (N, T, H, W, F) and `targets` (N, 1, H, W, F) are read-only
     views of `frame_run`, derived at construction, so each frame is held
-    once; see `_windows`."""
+    once; see `_windows`. The frames must be ones a network takes, f32 or
+    f64 with positive H, W and F, or construction raises `DataError`."""
 
     frame_run: np.ndarray   # (N + lags + horizon - 1, H, W, F)
     lags: int
@@ -57,6 +58,11 @@ class SampleSet:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        run = self.frame_run
+        if run.dtype not in (np.float32, np.float64) or 0 in run.shape[1:]:
+            raise DataError(f"samples need f32 or f64 frames with positive H, "
+                            f"W and C, not {run.dtype} frames of shape "
+                            f"{run.shape}")
         self.inputs, self.targets = _windows(self.frame_run, self.lags,
                                              self.horizon)
 
@@ -338,4 +344,7 @@ def load_samples(path) -> SampleSet:
         raise DataError(
             f"samples archive {path} holds {len(frames)} frames, too few for "
             f"one window of lags={lags}, horizon={horizon}")
-    return SampleSet(frames, lags, horizon, meta)
+    try:
+        return SampleSet(frames, lags, horizon, meta)
+    except DataError as exc:
+        raise DataError(f"samples archive {path}: {exc}") from None

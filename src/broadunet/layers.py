@@ -135,33 +135,31 @@ def factor_specs(spec: ConvSpec) -> list:
 # so those gradients, and outputs where the BLAS rounds a product by its row
 # count, may differ from a one-block run in the last bits.
 #
-# A plan whose span is at least _BOX_FACTOR times its output rows multiplies
-# mostly padding on that grid: the atrous ASPP taps on a bottleneck about as
-# wide as their rate (Chen et al. 2017, arXiv:1706.05587, section 3.3). Such a
-# plan takes the boxed layout instead. Along each axis, the outputs whose
+# Every plan also records its tap boxes. Along each axis, the outputs whose
 # window of a live tap reads data form one range, so each tap has an output
-# box and the input box those outputs read. Forward gathers each tap's input
+# box and the input box those outputs read; the boxes are the plan's
+# data-touching MACs. One test picks the layout: a plan boxes when its boxes
+# hold at most 1/_BOX_MACS of the grid's MACs (live taps x span), as for the
+# atrous ASPP taps on a bottleneck about as wide as their rate (Chen et al.
+# 2017, arXiv:1706.05587, section 3.3). A plan with no live tap has no box
+# and no grid MAC, so it boxes to the bias. Forward gathers each tap's input
 # box as rows, runs one GEMM and adds it into the output box; backward does
 # grad_w[tap] = rows.T @ g_box and grad_x[in_box] += g_box @ W[tap].T. Taps
 # run in row-major order, so each output sums its taps in the grid kernel's
 # order, but the GEMMs run over other row counts, which may move last bits.
 # This layout pads nothing, builds no grid and crops nothing; on dense plans
-# its gathers cost more than the padding it skips, hence the dispatch. On
-# maps a few pixels wide its per-tap gathers and scatters cost more than
-# the grid's tiny GEMMs, so a plan also keeps the grid unless its boxes hold
-# at most 1/_BOX_MACS of the grid's MACs (live taps x span): the unet's 4x4
-# (3,3,3) convs at 32x32 input span 2.03x their outputs and would box 28.5%
-# of the grid's MACs, yet run slower boxed.
+# and on maps a few pixels wide its per-tap gathers and scatters cost more
+# than the padding it skips: the unet's 4x4 (3,3,3) convs at 32x32 input
+# would box 28.5% of the grid's MACs, yet run slower boxed.
 
 _BLOCK_BYTES = 1 << 17
-_BOX_FACTOR = 2  # grid span against output rows
-_BOX_MACS = 4    # grid MACs against boxed MACs
+_BOX_MACS = 4  # grid MACs against boxed MACs
 
 
 @dataclass(frozen=True)
 class _TapPlan:
-    """Live taps, grid layout and, in the boxed layout, tap boxes of one
-    ConvSpec on fixed input extents."""
+    """Live taps, grid layout and tap boxes of one ConvSpec on fixed input
+    extents, and the layout that runs it."""
 
     taps: tuple        # ((i, j, k), flat row offset) per live tap, row-major
     pads: tuple        # per-axis (before, after) zero padding actually applied
@@ -170,7 +168,8 @@ class _TapPlan:
     span: int          # grid rows from the first to the last output position
     blocks: tuple      # (start, end) grid rows of each row block of the span
     boxes: tuple       # ((i, j, k), output box, input box) per live tap,
-                       # row-major, in the boxed layout; () on the grid
+                       # row-major
+    boxed: bool        # _BOX_MACS x box rows <= live taps x span
 
 
 # a Broad-UNet uses 88 distinct (spec, extents) pairs per input shape
@@ -185,47 +184,38 @@ def _tap_plan(spec: ConvSpec, in_thw: tuple) -> _TapPlan:
         # when that window overlaps the data rows [0, n)
         axes.append({i: i * d - before for i in range(k)
                      if -o < i * d - before < n})
-    if all(axes):
-        pads, starts = [], []
-        for n, o, offsets in zip(in_thw, out_thw, axes):
-            lo = min(0, *offsets.values())
-            hi = max(n, *(a + o for a in offsets.values()))
-            pads.append((-lo, hi - n))
-            starts.append({i: a - lo for i, a in offsets.items()})
-        padded_thw = tuple(n + b + a for n, (b, a) in zip(in_thw, pads))
-        _, hp, wp = padded_thw
-        taps = tuple(((i, j, k), at * hp * wp + ah * wp + aw)
-                     for i, at in starts[0].items()
-                     for j, ah in starts[1].items()
-                     for k, aw in starts[2].items())
-    else:
-        # every tap is pad-only along some axis: the output is the bias
-        taps, pads, padded_thw = (), ((0, 0),) * 3, tuple(in_thw)
+    pads, starts = [], []
+    for n, o, offsets in zip(in_thw, out_thw, axes):
+        lo = min([0, *offsets.values()])
+        hi = max([n, *(a + o for a in offsets.values())])
+        pads.append((-lo, hi - n))
+        starts.append({i: a - lo for i, a in offsets.items()})
+    padded_thw = tuple(n + b + a for n, (b, a) in zip(in_thw, pads))
     (to, ho, wo), (_, hp, wp) = out_thw, padded_thw
+    taps = tuple(((i, j, k), at * hp * wp + ah * wp + aw)
+                 for i, at in starts[0].items()
+                 for j, ah in starts[1].items()
+                 for k, aw in starts[2].items())
     span = (to - 1) * hp * wp + (ho - 1) * wp + wo
     # a lone tap has nothing to accumulate, so its span stays one block
     step = span if len(taps) < 2 else max(
         1, _BLOCK_BYTES // (4 * max(spec.in_channels, spec.out_channels)))
     blocks = tuple((s, min(s + step, span)) for s in range(0, span, step))
-    boxes = ()
-    if span >= _BOX_FACTOR * to * ho * wo:
-        # along an axis, output row r of tap i reads input row r + a, so
-        # the tap reaches outputs [max(0, -a), min(o, n - a)), which read
-        # inputs [max(a, 0), min(o + a, n))
-        clips = [{i: (slice(max(0, -a), min(o, n - a)),
-                      slice(max(a, 0), min(o + a, n)))
-                  for i, a in offsets.items()}
-                 for n, o, offsets in zip(in_thw, out_thw, axes)]
-        boxes = tuple(((i, j, k), (ot, oh, ow), (it, ih, iw))
-                      for i, (ot, it) in clips[0].items()
-                      for j, (oh, ih) in clips[1].items()
-                      for k, (ow, iw) in clips[2].items())
-        box_rows = sum((ot.stop - ot.start) * (oh.stop - oh.start)
-                       * (ow.stop - ow.start) for _, (ot, oh, ow), _ in boxes)
-        if _BOX_MACS * box_rows > len(taps) * span:
-            boxes = ()
+    # along an axis, output row r of tap i reads input row r + a, so the
+    # tap reaches outputs [max(0, -a), min(o, n - a)), which read inputs
+    # [max(a, 0), min(o + a, n))
+    clips = [{i: (slice(max(0, -a), min(o, n - a)),
+                  slice(max(a, 0), min(o + a, n)))
+              for i, a in offsets.items()}
+             for n, o, offsets in zip(in_thw, out_thw, axes)]
+    boxes = tuple(((i, j, k), (ot, oh, ow), (it, ih, iw))
+                  for i, (ot, it) in clips[0].items()
+                  for j, (oh, ih) in clips[1].items()
+                  for k, (ow, iw) in clips[2].items())
+    box_rows = sum((ot.stop - ot.start) * (oh.stop - oh.start)
+                   * (ow.stop - ow.start) for _, (ot, oh, ow), _ in boxes)
     return _TapPlan(taps, tuple(pads), padded_thw, out_thw, span, blocks,
-                    boxes)
+                    boxes, _BOX_MACS * box_rows <= len(taps) * span)
 
 
 def _pad(x, plan: _TapPlan):
@@ -270,7 +260,7 @@ def conv3d_forward(x, weights, bias, spec: ConvSpec):
         raise ValueError(f"weights shape {weights.shape} != {spec.weight_shape()}")
     x = np.ascontiguousarray(x)
     plan = _tap_plan(spec, x.shape[:3])
-    if plan.boxes:
+    if plan.boxed:
         y = _boxed_forward(x, weights, spec, plan)
     else:
         y = _grid_forward(x, weights, spec, plan)
@@ -286,8 +276,6 @@ def _grid_forward(x, weights, spec: ConvSpec, plan: _TapPlan):
     _, hp, wp = plan.padded_thw
     grid = np.empty((to * hp * wp, spec.out_channels), dtype=x.dtype)
     acc = grid[:plan.span]
-    if not plan.taps:
-        acc[...] = 0
     for s, e in plan.blocks:
         part = acc[s:e]
         for n, (tap, off) in enumerate(plan.taps):
@@ -318,7 +306,7 @@ def conv3d_backward(tape: ConvTape, grad_out):
     out_shape = (*plan.out_thw, spec.out_channels)
     if grad_out.shape != out_shape:
         raise ValueError(f"grad shape {grad_out.shape} != output shape {out_shape}")
-    if plan.boxes:
+    if plan.boxed:
         grad_x, grad_w = _boxed_backward(tape, plan, grad_out)
     else:
         grad_x, grad_w = _grid_backward(tape, plan, grad_out)

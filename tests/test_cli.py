@@ -1048,8 +1048,10 @@ class TestGradCheckCommand:
         assert run(["grad-check", "--arch", "layers"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
-        assert out.count("pass") == 9
-        assert "pass conv3d_atrous:" in out  # the boxed conv kernel
+        assert out.count("pass") == 11
+        # the boxed conv kernel, at the edge of its bound and with no tap
+        for name in ("conv3d_atrous", "conv3d_atrous_edge", "conv3d_tapless"):
+            assert f"pass {name}:" in out
 
     def test_seed_moves_the_primitive_layer_checks(self, capsys):
         outs = []
@@ -1057,7 +1059,7 @@ class TestGradCheckCommand:
             assert run(["grad-check", "--arch", "layers", "--seed", seed]) == 0
             outs.append(capsys.readouterr().out)
         assert outs[0] != outs[1]
-        assert all(out.count("pass") == 9 for out in outs)
+        assert all(out.count("pass") == 11 for out in outs)
 
     @pytest.mark.parametrize("arch", ["broad-unet", "unet"])
     def test_mini_network_passes(self, capsys, arch):
@@ -1355,6 +1357,15 @@ def faulty_inputs(workspace, raw_radar, tmp_path_factory):
     datapipe.save_samples(paths["wrong_extent_samples"], datapipe.make_samples(
         datapipe.synth_advection(datapipe.SynthConfig(24, 24, n_frames=12)),
         lags=2, horizon=1))
+    # frames no network takes: u8 values, or no columns; a frames archive
+    # may hold them, but no samples file may be made of them or read
+    for kind in ("frames", "samples"):
+        records = archive_load(workspace[kind])
+        frames = records.pop("frames")
+        for fault, bad in [("u8_values", frames.astype(np.uint8)),
+                           ("zero_extent", frames[:, :, :0])]:
+            paths[f"{fault}_{kind}"] = str(root / f"{fault}_{kind}.btar")
+            archive_save(paths[f"{fault}_{kind}"], {**records, "frames": bad})
     seq = load_frames(raw_radar)
     paths["all_dry_raw"] = str(root / "all_dry_raw.btar")
     datapipe.save_frames(paths["all_dry_raw"],
@@ -1388,7 +1399,9 @@ def _model_command(command, flag, out, fault):
                "nan_payload": "{nan_samples}",
                "bad_metadata": "{bad_metadata_samples}",
                "wrong_dtype": "{wrong_dtype_samples}",
-               "duplicate_record": "{duplicate_record_samples}"}.get(
+               "duplicate_record": "{duplicate_record_samples}",
+               "u8_values": "{u8_values_samples}",
+               "zero_extent": "{zero_extent_samples}"}.get(
                    fault, "{samples}")
     if fault == "missing_dir":
         out = out.replace("{out}", "{out}/absent")
@@ -1423,12 +1436,16 @@ FAULT_MATRIX = [
           ("truncated_input", "{truncated_frames}", "{out}/s.btar"),
           ("nan_payload", "{nan_frames}", "{out}/s.btar"),
           ("bad_metadata", "{bad_metadata_frames}", "{out}/s.btar"),
-          ("wrong_dtype", "{wrong_dtype_frames}", "{out}/s.btar")]),
+          ("wrong_dtype", "{wrong_dtype_frames}", "{out}/s.btar"),
+          ("u8_values", "{u8_values_frames}", "{out}/s.btar"),
+          ("zero_extent", "{zero_extent_frames}", "{out}/s.btar")]),
     # train makes its --out-dir, so a missing one is no fault
     ("truncated_input", [*_TRAIN, "--samples", "{truncated_samples}"], 2),
     ("nan_payload", [*_TRAIN, "--samples", "{nan_samples}"], 2),
     ("bad_metadata", [*_TRAIN, "--samples", "{bad_metadata_samples}"], 2),
     ("wrong_dtype", [*_TRAIN, "--samples", "{wrong_dtype_samples}"], 2),
+    ("u8_values", [*_TRAIN, "--samples", "{u8_values_samples}"], 2),
+    ("zero_extent", [*_TRAIN, "--samples", "{zero_extent_samples}"], 2),
     # dump-features makes its --out-dir, so a missing one is no fault
     *(_model_command(command, flag, out, fault)
       for command, flag, out, faults in [
@@ -1439,7 +1456,8 @@ FAULT_MATRIX = [
                     "nan_payload", "nan_checkpoint", "bad_metadata",
                     "bad_metadata_checkpoint", "wrong_dtype",
                     "wrong_dtype_checkpoint", "duplicate_record",
-                    "wrong_shape_checkpoint", "recorded_aspp_checkpoint"]),
+                    "wrong_shape_checkpoint", "recorded_aspp_checkpoint",
+                    "u8_values", "zero_extent"]),
 ]
 
 

@@ -470,6 +470,20 @@ class TestMakeSamples:
         with pytest.raises(ValueError):
             make_samples(seq, lags=2, horizon=0)
 
+    @pytest.mark.parametrize("frames", [
+        np.ones((4, 2, 2, 1), dtype=np.uint8),
+        np.ones((4, 2, 0, 1), dtype=np.float32),
+        np.ones((4, 0, 2, 1), dtype=np.float64),
+        np.ones((4, 2, 2, 0), dtype=np.float32),
+    ], ids=["u8", "no_columns", "no_rows", "no_channels"])
+    def test_frames_no_network_takes_make_no_samples(self, tmp_path, frames):
+        # a frames archive keeps them: raw cloud labels are u8
+        save_frames(tmp_path / "f.btar", FrameSequence(frames, 5))
+        seq = load_frames(tmp_path / "f.btar")
+        assert seq.frames.dtype == frames.dtype
+        with pytest.raises(DataError, match="f32 or f64 frames with positive"):
+            make_samples(seq, lags=2, horizon=1)
+
 
 def _stacked(frames, lags, horizon):
     """Every window copied out of `frames` with np.stack, the way windows

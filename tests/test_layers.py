@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from broadunet import layers
 from broadunet.layers import (
@@ -260,7 +262,8 @@ BLOCKED_CASES = [
                  id="valid"),
     pytest.param(ConvSpec((1, 3, 3), 2, 2, dilation=(1, 2, 2)), (2, 7, 7, 2),
                  id="dilated"),
-    # span 236 for 128 outputs; on (4, 7, 6) it spans 56 for 12 and boxes
+    # its boxes hold 54.2% of the grid's MACs; on (4, 7, 6) they hold 21.4%
+    # and it boxes
     pytest.param(ConvSpec((2, 3, 3), 2, 2, dilation=(2, 2, 2),
                           padding="valid"), (4, 12, 12, 2),
                  id="dilated_valid"),
@@ -295,7 +298,7 @@ class TestRowBlocks:
     def test_matches_naive_oracle(self, block_rows, spec, shape, rows):
         block_rows(spec, rows)
         plan = layers._tap_plan(spec, shape[:3])
-        assert len(plan.blocks) > 1 and not plan.boxes
+        assert len(plan.blocks) > 1 and not plan.boxed
         assert rows == 1 or plan.span % rows
         rng = np.random.default_rng(29)
         x = rng.standard_normal(shape)
@@ -327,7 +330,7 @@ class TestRowBlocks:
         outs = []
         for rows in (1, 5, 64, 1 << 20):
             block_rows(spec, rows)
-            assert not layers._tap_plan(spec, shape[:3]).boxes
+            assert not layers._tap_plan(spec, shape[:3]).boxed
             outs.append(conv3d_forward(x, w, b, spec)[0].tobytes())
         assert outs[1:] == outs[:1] * 3
 
@@ -335,7 +338,7 @@ class TestRowBlocks:
         spec = ConvSpec((2, 3, 3), 3, 4)
         block_rows(spec, 13)
         plan = layers._tap_plan(spec, (3, 7, 8))
-        assert len(plan.blocks) > 1 and not plan.boxes
+        assert len(plan.blocks) > 1 and not plan.boxed
         report = grad_check(Conv3D(spec), in_shape=(3, 7, 8, 3), tol=1e-6,
                             seed=23)
         assert report.passed, report
@@ -358,9 +361,8 @@ class TestRowBlocks:
 
 @pytest.fixture
 def every_plan_boxed(monkeypatch):
-    """Sets both dispatch factors so that every plan with a live tap takes
-    the boxed layout; cached plans are dropped before and after the test."""
-    monkeypatch.setattr(layers, "_BOX_FACTOR", 1)
+    """Sets the dispatch bound so that every plan takes the boxed layout;
+    cached plans are dropped before and after the test."""
     monkeypatch.setattr(layers, "_BOX_MACS", 0)
     layers._tap_plan.cache_clear()
     yield
@@ -418,41 +420,57 @@ def _boxed_macs(spec, plan):
 
 
 class TestBoxedPlans:
-    """Plans whose grid spans at least `_BOX_FACTOR` x their output rows,
-    and whose boxes hold at most 1/`_BOX_MACS` of the grid's MACs, run each
-    live tap over the outputs it reaches."""
+    """Plans whose boxes hold at most 1/`_BOX_MACS` of the grid's MACs run
+    each live tap over the outputs it reaches."""
 
     @pytest.mark.parametrize("spec,in_thw,boxed", [
         (_atrous(6), (12, 18, 18), True),
-        # two frames: span 2.20x the outputs, but the boxes hold 27.4% of the
-        # grid's MACs (22.6% at 12 frames)
+        # two frames: the boxes hold 27.4% of the grid's MACs (22.6% at 12
+        # frames)
         (_atrous(6), (2, 18, 18), False),
         (_atrous(12), (2, 19, 19), True),
         (_atrous(18), (2, 19, 19), True),
         # rate 18 at 18x18 leaves only the centre tap: no padding, no grid
         (_atrous(18), (2, 18, 18), False),
-        # (lags, 1, 1) valid reduce: a 12x larger input, but its span is its
-        # output rows
+        # (lags, 1, 1) valid reduce: a 12x larger input, but its one box is
+        # its span
         (ConvSpec((12, 1, 1), 8, 8, padding="valid"), (12, 18, 18), False),
         (ConvSpec((1, 1, 3), 8, 8), (12, 288, 288), False),
         (ConvSpec((1, 3, 3), 3, 2, dilation=(1, 6, 6)), (2, 9, 9), True),
-        # the unet's (3, 3, 3) convs at 32x32 input: on 4x4 maps the span is
-        # 2.03x the outputs but the boxes hold 28.5% of the grid's MACs, so
-        # the grid stays; on 2x2 maps they hold 11.0%
+        # the unet's (3, 3, 3) convs at 32x32 input: on 4x4 maps the boxes
+        # hold 28.5% of the grid's MACs, so the grid stays; on 2x2 maps
+        # they hold 11.0%
         (ConvSpec((3, 3, 3), 16, 32), (4, 4, 4), False),
         (ConvSpec((3, 3, 3), 32, 64), (4, 2, 2), True),
+        # one frame: the span is 1.99x the outputs and the boxes hold 20.3%
+        (_atrous(6), (1, 11, 11), True),
+        # no live tap: no box and no grid MAC, so the output is the bias
+        (ConvSpec((1, 2, 2), 1, 1, dilation=(1, 3, 3)), (1, 1, 1), True),
     ])
     def test_dispatch_rule(self, spec, in_thw, boxed):
         plan = layers._tap_plan(spec, in_thw)
-        out_rows = int(np.prod(plan.out_thw))
         grid = _grid_macs(spec, plan)
         box = _data_macs(spec, in_thw)
-        assert (plan.span >= layers._BOX_FACTOR * out_rows
-                and layers._BOX_MACS * box <= grid) == boxed
-        assert bool(plan.boxes) == boxed
-        if boxed:
-            assert [tap for tap, _, _ in plan.boxes] == [
-                tap for tap, _ in plan.taps]
+        assert (layers._BOX_MACS * box <= grid) == boxed
+        assert plan.boxed == boxed
+        assert [tap for tap, _, _ in plan.boxes] == [
+            tap for tap, _ in plan.taps]
+
+    def test_a_tapless_plan_gives_the_bias_and_zero_gradients(self):
+        spec = ConvSpec((1, 2, 2), 2, 3, dilation=(1, 3, 3))
+        plan = layers._tap_plan(spec, (2, 1, 1))
+        assert plan.taps == () and plan.boxes == () and plan.boxed
+        rng = np.random.default_rng(47)
+        x = rng.standard_normal((2, 1, 1, 2)).astype(np.float32)
+        w = rng.standard_normal(spec.weight_shape()).astype(np.float32)
+        b = rng.standard_normal(3).astype(np.float32)
+        y, tape = conv3d_forward(x, w, b, spec)
+        assert y.tobytes() == np.broadcast_to(b, (2, 1, 1, 3)).tobytes()
+        g = rng.standard_normal(y.shape).astype(np.float32)
+        gx, gw, gb = conv3d_backward(tape, g)
+        assert gx.tobytes() == np.zeros_like(x).tobytes()
+        assert gw.tobytes() == np.zeros_like(w).tobytes()
+        assert gb.tobytes() == g.sum(axis=(0, 1, 2)).tobytes()
 
     # every plan takes the boxed layout here, so rate 18 at 18x18, whose one
     # live tap keeps it on the grid otherwise, is covered as well
@@ -465,13 +483,13 @@ class TestBoxedPlans:
         pytest.param(ConvSpec((2, 3, 3), 2, 3, padding="valid",
                               dilation=(1, 2, 2)), (2, 5, 5, 2),
                      id="dilated_valid"),
-        # boxed under the default rule too: span 56 for 12 outputs
+        # boxed under the default rule too: 21.4% of the grid's MACs
         pytest.param(ConvSpec((2, 3, 3), 2, 2, padding="valid",
                               dilation=(2, 2, 2)), (4, 7, 6, 2),
                      id="dilated_valid_narrow"),
     ])
     def test_matches_naive_oracle(self, every_plan_boxed, spec, shape):
-        assert layers._tap_plan(spec, shape[:3]).boxes
+        assert layers._tap_plan(spec, shape[:3]).boxed
         rng = np.random.default_rng(37)
         x = rng.standard_normal(shape)
         w = rng.standard_normal(spec.weight_shape())
@@ -494,14 +512,14 @@ class TestBoxedPlans:
                      id="dilated_valid"),
     ])
     def test_grad_check(self, spec, shape):
-        assert layers._tap_plan(spec, shape[:3]).boxes
+        assert layers._tap_plan(spec, shape[:3]).boxed
         report = grad_check(Conv3D(spec), in_shape=shape, tol=1e-6,
                             seed=41)
         assert report.passed, report
 
     def test_reruns_are_bitwise_identical(self):
         spec = _atrous(6, cin=16, cout=8)
-        assert layers._tap_plan(spec, (12, 18, 18)).boxes
+        assert layers._tap_plan(spec, (12, 18, 18)).boxed
         rng = np.random.default_rng(43)
         x = rng.standard_normal((12, 18, 18, 16)).astype(np.float32)
         w = rng.standard_normal(spec.weight_shape()).astype(np.float32)
@@ -526,12 +544,27 @@ class TestBoxedPlans:
         ("unet", 12, 64, 8, []),
         ("unet", 12, 288, 8, []),
         ("unet", 12, 288, 64, []),
+        # one frame: the span falls below twice the outputs, but the boxes
+        # still hold at most a quarter of the grid's MACs
+        ("broad-unet", 1, 176, 8, ["aspp.dilated6"]),
+        ("broad-unet", 1, 384, 8, ["aspp.dilated12", "aspp.dilated18"]),
+        ("broad-unet", 1, 576, 8, ["aspp.dilated18"]),
     ])
     def test_which_convs_take_the_boxed_layout(self, arch, lags, hw, f0,
                                                boxed):
         plans = _conv_plans(arch, lags, hw, f0)
         assert [name for name, (_, _, plan) in plans.items()
-                if plan.boxes] == boxed
+                if plan.boxed] == boxed
+
+    @pytest.mark.parametrize("arch", ["broad-unet", "unet"])
+    @pytest.mark.parametrize("lags,hw,f0", [
+        (4, 32, 4), (12, 64, 8), (12, 288, 8), (12, 288, 64), (1, 176, 8),
+        (1, 384, 8), (1, 576, 8)])
+    def test_every_plans_boxes_are_its_data_touching_macs(self, arch, lags,
+                                                          hw, f0):
+        plans = _conv_plans(arch, lags, hw, f0)
+        for name, (spec, in_thw, plan) in plans.items():
+            assert _boxed_macs(spec, plan) == _data_macs(spec, in_thw), name
 
     @pytest.mark.parametrize("f0,grid,box,by_rate", [
         (8, 4.57, 0.59, None),
@@ -546,7 +579,7 @@ class TestBoxedPlans:
             if max(spec.dilation) == 1:
                 continue
             data = _data_macs(spec, in_thw)
-            run = _boxed_macs(spec, plan) if plan.boxes else _grid_macs(
+            run = _boxed_macs(spec, plan) if plan.boxed else _grid_macs(
                 spec, plan)
             # a grid plan left on the grid multiplies no padding either
             assert run == data, name
@@ -558,6 +591,71 @@ class TestBoxedPlans:
         if by_rate:
             assert {rate: (round(g, 2), round(r, 2))
                     for rate, (g, r) in table.items()} == by_rate
+
+
+@st.composite
+def _small_convs(draw):
+    """(spec, input shape) with kernels 1-4 and dilations 1-6 per axis, same
+    or valid padding, 1-3 channels in and out, bias on or off and extents
+    1-8; a valid conv's dilated kernel fits its extents."""
+    padding = draw(st.sampled_from(["same", "valid"]))
+    kernel, dilation, extents = [], [], []
+    for _ in range(3):
+        n = draw(st.integers(1, 8))
+        k = draw(st.integers(1, 4 if padding == "same" else min(4, n)))
+        reach = 6 if padding == "same" or k == 1 else min(
+            6, (n - 1) // (k - 1))
+        kernel.append(k)
+        dilation.append(draw(st.integers(1, reach)))
+        extents.append(n)
+    spec = ConvSpec(tuple(kernel), draw(st.integers(1, 3)),
+                    draw(st.integers(1, 3)), dilation=tuple(dilation),
+                    padding=padding, bias=draw(st.booleans()))
+    return spec, (*extents, spec.in_channels)
+
+
+# module constants of each layout the oracle sweep runs; a plan with no live
+# tap has no grid MACs either, so it stays boxed under the grid settings
+SWEEP_LAYOUTS = {
+    "default": {},
+    "boxed": {"_BOX_MACS": 0},
+    "grid": {"_BOX_MACS": 1 << 62, "_BLOCK_BYTES": 64},
+}
+
+
+class TestOracleSweep:
+    @given(case=_small_convs(), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=400, deadline=None)
+    def test_every_layout_matches_naive_oracle(self, case, seed):
+        spec, shape = case
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(shape)
+        w = rng.standard_normal(spec.weight_shape())
+        b = rng.standard_normal(spec.out_channels) if spec.bias else None
+        want_y = naive_conv3d(x, w, b, spec)
+        g = rng.standard_normal(want_y.shape)
+        want_gx, want_gw = naive_conv3d_backward(x, w, spec, g)
+        for layout, constants in SWEEP_LAYOUTS.items():
+            with pytest.MonkeyPatch.context() as mp:
+                for name, value in constants.items():
+                    mp.setattr(layers, name, value)
+                layers._tap_plan.cache_clear()
+                try:
+                    plan = layers._tap_plan(spec, shape[:3])
+                    y, tape = conv3d_forward(x, w, b, spec)
+                    gx, gw, gb = conv3d_backward(tape, g)
+                finally:
+                    layers._tap_plan.cache_clear()
+            assert plan.boxed == {"default": plan.boxed, "boxed": True,
+                                  "grid": not plan.taps}[layout]
+            for got, want in [(y, want_y), (gx, want_gx), (gw, want_gw)]:
+                np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10,
+                                           err_msg=layout)
+            if spec.bias:
+                np.testing.assert_allclose(gb, g.sum(axis=(0, 1, 2)),
+                                           rtol=1e-10, atol=1e-10)
+            else:
+                assert gb is None
 
 
 class TestFactorize:
