@@ -115,42 +115,48 @@ def factor_specs(spec: ConvSpec) -> list:
 # Functional convolution kernel
 # ---------------------------------------------------------------------------
 #
-# Each tap is one GEMM over contiguous memory. The input is zero-padded and
-# flattened to (P, Cin) rows; the output is computed on the padded grid, so
-# tap (i, j, k) reads the row span [offset, offset + span) of that flat array,
+# A conv runs as a list of GEMMs on two row matrices, the input as
+# (rows, Cin) and the output as (rows, Cout). Each plan lists its GEMMs as
+# its work, one (tap, output rows, input rows, first) entry each, in run
+# order. The forward runs out[o] = in[i] @ W[tap] where `first` is set and
+# out[o] += in[i] @ W[tap] elsewhere; the backward runs
+# grad_w[tap] += in[i].T @ g[o] and grad_in[i] += g[o] @ W[tap].T over the
+# same list. Each output row sums its taps in row-major tap order. Taps whose
+# window lies wholly in zero padding along some axis add exact zeros and get
+# no entry. The plan's layout decides only the row matrices: the padded
+# input and an unset output grid, or the input itself and a zeroed output.
+#
+# Grid layout. The input is zero-padded as far as the live taps read and
+# flattened to rows; the output is computed on the padded grid, so tap
+# (i, j, k) reads the row span [offset, offset + span) of that flat array,
 # where offset = a_t * Hp * Wp + a_h * Wp + a_w for its per-axis start a.
 # Grid rows outside the (T', H', W') output read wrapped data and are
-# cropped. Taps whose window lies wholly in zero padding along some axis add
-# exact zeros and are skipped, and the input is padded only as far as the
-# remaining (live) taps read.
+# cropped. The span is cut into row blocks of about _BLOCK_BYTES of the wider
+# side's f32 rows, and the work runs block by block, every tap within a
+# block, so one block's accumulator, windows and per-tap temporaries stay in
+# cache while every tap visits it (the cache tiling of GEMM-based
+# convolution, Chetlur et al. 2014, arXiv:1410.0759). A block's first tap
+# sets `first`, so the grid needs no zeroing. A plan with one live tap, or
+# whose span fits one block, runs exactly the unblocked sequence. With
+# several blocks the weight gradient is a sum of per-block partials and an
+# input-gradient row takes its taps in block order, so those gradients, and
+# outputs where the BLAS rounds a product by its row count, may differ from
+# a one-block run in the last bits.
 #
-# The span is cut into row blocks of about _BLOCK_BYTES of the wider side's
-# f32 rows, and the block loop runs outside the tap loop, so one block's
-# accumulator, windows and per-tap temporaries stay in cache while every tap
-# visits it (the cache tiling of GEMM-based convolution, Chetlur et al. 2014,
-# arXiv:1410.0759). Each output row still sums its taps in row-major tap
-# order. A plan with one live tap, or whose span fits one block, runs exactly
-# the unblocked sequence. With several blocks the weight gradient is a sum of
-# per-block partials and an input-gradient row takes its taps in block order,
-# so those gradients, and outputs where the BLAS rounds a product by its row
-# count, may differ from a one-block run in the last bits.
-#
-# Every plan also records its tap boxes. Along each axis, the outputs whose
-# window of a live tap reads data form one range, so each tap has an output
-# box and the input box those outputs read; the boxes are the plan's
-# data-touching MACs. One test picks the layout: a plan boxes when its boxes
-# hold at most 1/_BOX_MACS of the grid's MACs (live taps x span), as for the
-# atrous ASPP taps on a bottleneck about as wide as their rate (Chen et al.
-# 2017, arXiv:1706.05587, section 3.3). A plan with no live tap has no box
-# and no grid MAC, so it boxes to the bias. Forward gathers each tap's input
-# box as rows, runs one GEMM and adds it into the output box; backward does
-# grad_w[tap] = rows.T @ g_box and grad_x[in_box] += g_box @ W[tap].T. Taps
-# run in row-major order, so each output sums its taps in the grid kernel's
-# order, but the GEMMs run over other row counts, which may move last bits.
-# This layout pads nothing, builds no grid and crops nothing; on dense plans
-# and on maps a few pixels wide its per-tap gathers and scatters cost more
-# than the padding it skips: the unet's 4x4 (3,3,3) convs at 32x32 input
-# would box 28.5% of the grid's MACs, yet run slower boxed.
+# Boxed layout. Along each axis, the outputs whose window of a live tap reads
+# data form one range, so each tap has an output box and the input box those
+# outputs read; every plan records its boxes, which are its data-touching
+# MACs. A boxed plan's work is each tap's boxes as flat row indices of the
+# unpadded input and of the output, with `first` never set, so it pads,
+# builds and crops no grid. One test picks the layout: a plan boxes when its
+# boxes hold at most 1/_BOX_MACS of the grid's MACs (live taps x span), as
+# for the atrous ASPP taps on a bottleneck about as wide as their rate (Chen
+# et al. 2017, arXiv:1706.05587, section 3.3). A plan with no live tap has no
+# box and no grid MAC, so it boxes to the bias. Boxed GEMMs run over other
+# row counts than the grid's, which may move last bits. On dense plans and on
+# maps a few pixels wide the gathers and scatters of its index rows cost
+# more than the padding they skip: the unet's 4x4 (3,3,3) convs at 32x32
+# input would box 28.5% of the grid's MACs, yet run slower boxed.
 
 _BLOCK_BYTES = 1 << 17
 _BOX_MACS = 4  # grid MACs against boxed MACs
@@ -158,18 +164,17 @@ _BOX_MACS = 4  # grid MACs against boxed MACs
 
 @dataclass(frozen=True)
 class _TapPlan:
-    """Live taps, grid layout and tap boxes of one ConvSpec on fixed input
-    extents, and the layout that runs it."""
+    """The GEMMs of one ConvSpec on fixed input extents, as work on the row
+    matrices of the layout that runs them, and its tap boxes."""
 
-    taps: tuple        # ((i, j, k), flat row offset) per live tap, row-major
-    pads: tuple        # per-axis (before, after) zero padding actually applied
+    pads: tuple        # per-axis (before, after) zero padding of the grid
     padded_thw: tuple  # (Tp, Hp, Wp) extents of the padded input
     out_thw: tuple     # (T', H', W')
-    span: int          # grid rows from the first to the last output position
-    blocks: tuple      # (start, end) grid rows of each row block of the span
     boxes: tuple       # ((i, j, k), output box, input box) per live tap,
                        # row-major
     boxed: bool        # _BOX_MACS x box rows <= live taps x span
+    work: tuple        # (tap, output rows, input rows, first) per GEMM, in
+                       # run order: grid row slices, or boxes' flat rows
 
 
 # a Broad-UNet uses 88 distinct (spec, extents) pairs per input shape
@@ -192,15 +197,11 @@ def _tap_plan(spec: ConvSpec, in_thw: tuple) -> _TapPlan:
         starts.append({i: a - lo for i, a in offsets.items()})
     padded_thw = tuple(n + b + a for n, (b, a) in zip(in_thw, pads))
     (to, ho, wo), (_, hp, wp) = out_thw, padded_thw
-    taps = tuple(((i, j, k), at * hp * wp + ah * wp + aw)
-                 for i, at in starts[0].items()
-                 for j, ah in starts[1].items()
-                 for k, aw in starts[2].items())
+    taps = [((i, j, k), at * hp * wp + ah * wp + aw)
+            for i, at in starts[0].items()
+            for j, ah in starts[1].items()
+            for k, aw in starts[2].items()]
     span = (to - 1) * hp * wp + (ho - 1) * wp + wo
-    # a lone tap has nothing to accumulate, so its span stays one block
-    step = span if len(taps) < 2 else max(
-        1, _BLOCK_BYTES // (4 * max(spec.in_channels, spec.out_channels)))
-    blocks = tuple((s, min(s + step, span)) for s in range(0, span, step))
     # along an axis, output row r of tap i reads input row r + a, so the
     # tap reaches outputs [max(0, -a), min(o, n - a)), which read inputs
     # [max(a, 0), min(o + a, n))
@@ -214,8 +215,21 @@ def _tap_plan(spec: ConvSpec, in_thw: tuple) -> _TapPlan:
                   for k, (ow, iw) in clips[2].items())
     box_rows = sum((ot.stop - ot.start) * (oh.stop - oh.start)
                    * (ow.stop - ow.start) for _, (ot, oh, ow), _ in boxes)
-    return _TapPlan(taps, tuple(pads), padded_thw, out_thw, span, blocks,
-                    boxes, _BOX_MACS * box_rows <= len(taps) * span)
+    boxed = _BOX_MACS * box_rows <= len(taps) * span
+    if boxed:
+        flat = [np.arange(t * h * w).reshape(t, h, w)
+                for t, h, w in (out_thw, in_thw)]
+        work = tuple((tap, flat[0][o].ravel(), flat[1][i].ravel(), False)
+                     for tap, o, i in boxes)
+    else:
+        # a lone tap has nothing to accumulate, so its span stays one block
+        step = span if len(taps) < 2 else max(
+            1, _BLOCK_BYTES // (4 * max(spec.in_channels, spec.out_channels)))
+        blocks = [(s, min(s + step, span)) for s in range(0, span, step)]
+        work = tuple((tap, slice(s, e), slice(off + s, off + e), n == 0)
+                     for s, e in blocks
+                     for n, (tap, off) in enumerate(taps))
+    return _TapPlan(tuple(pads), padded_thw, out_thw, boxes, boxed, work)
 
 
 def _pad(x, plan: _TapPlan):
@@ -235,9 +249,9 @@ class ConvTape:
     """Forward activations cached for the matching backward call.
 
     The tape references the conv's own contiguous input, so sibling convs
-    on one input share one array. The grid kernel's backward pads it again;
-    the boxed kernel's backward gathers its tap boxes from it. Nothing may
-    write into a training forward's input before its backward.
+    on one input share one array. A grid plan's backward pads it again; a
+    boxed plan's backward reads its rows as they are. Nothing may write into
+    a training forward's input before its backward.
     """
 
     padded: np.ndarray  # the unpadded input; perfbench/tracer.py reads this name
@@ -260,109 +274,68 @@ def conv3d_forward(x, weights, bias, spec: ConvSpec):
         raise ValueError(f"weights shape {weights.shape} != {spec.weight_shape()}")
     x = np.ascontiguousarray(x)
     plan = _tap_plan(spec, x.shape[:3])
+    to, ho, wo = plan.out_thw
     if plan.boxed:
-        y = _boxed_forward(x, weights, spec, plan)
+        # outputs that no box reaches stay zero
+        xp, y = x, np.zeros((to, ho, wo, spec.out_channels), dtype=x.dtype)
     else:
-        y = _grid_forward(x, weights, spec, plan)
+        _, hp, wp = plan.padded_thw
+        xp = _pad(x, plan)
+        y = np.empty((to, hp, wp, spec.out_channels), dtype=x.dtype)
+    rows = xp.reshape(-1, spec.in_channels)
+    out = y.reshape(-1, spec.out_channels)
+    for tap, o, i, first in plan.work:
+        if first:
+            np.matmul(rows[i], weights[tap], out=out[o])
+        else:
+            out[o] += rows[i] @ weights[tap]
+    if y.shape[1:3] != (ho, wo):
+        y = np.ascontiguousarray(y[:, :ho, :wo])
     if bias is not None:
         _add_bias(y, bias)
-    tape = ConvTape(x, weights, spec, x.shape)
-    return y, tape
-
-
-def _grid_forward(x, weights, spec: ConvSpec, plan: _TapPlan):
-    rows = _pad(x, plan).reshape(-1, spec.in_channels)
-    to, ho, wo = plan.out_thw
-    _, hp, wp = plan.padded_thw
-    grid = np.empty((to * hp * wp, spec.out_channels), dtype=x.dtype)
-    acc = grid[:plan.span]
-    for s, e in plan.blocks:
-        part = acc[s:e]
-        for n, (tap, off) in enumerate(plan.taps):
-            window = rows[off + s:off + e]
-            if n == 0:
-                np.matmul(window, weights[tap], out=part)
-            else:
-                part += window @ weights[tap]
-    y = grid.reshape(to, hp, wp, spec.out_channels)
-    if (hp, wp) != (ho, wo):
-        y = np.ascontiguousarray(y[:, :ho, :wo])
-    return y
-
-
-def _boxed_forward(x, weights, spec: ConvSpec, plan: _TapPlan):
-    y = np.zeros((*plan.out_thw, spec.out_channels), dtype=x.dtype)
-    for tap, out_box, in_box in plan.boxes:
-        window = x[in_box]
-        prod = window.reshape(-1, spec.in_channels) @ weights[tap]
-        y[out_box] += prod.reshape(*window.shape[:3], -1)
-    return y
+    return y, ConvTape(x, weights, spec, x.shape)
 
 
 def conv3d_backward(tape: ConvTape, grad_out):
     """Gradients of sum(grad_out * output) w.r.t. input, weights and bias."""
-    spec = tape.spec
+    spec, x = tape.spec, tape.padded
     plan = _tap_plan(spec, tape.in_shape[:3])
-    out_shape = (*plan.out_thw, spec.out_channels)
-    if grad_out.shape != out_shape:
-        raise ValueError(f"grad shape {grad_out.shape} != output shape {out_shape}")
-    if plan.boxed:
-        grad_x, grad_w = _boxed_backward(tape, plan, grad_out)
-    else:
-        grad_x, grad_w = _grid_backward(tape, plan, grad_out)
-    grad_b = _bias_grad(grad_out) if spec.bias else None
-    return grad_x, grad_w, grad_b
-
-
-def _grid_backward(tape: ConvTape, plan: _TapPlan, grad_out):
-    spec = tape.spec
     to, ho, wo = plan.out_thw
-    _, hp, wp = plan.padded_thw
-    if (hp, wp) != (ho, wo):
-        # embed in the padded grid; zeros keep the cropped rows out of sums
-        grid = np.zeros((to, hp, wp, spec.out_channels), dtype=grad_out.dtype)
-        grid[:, :ho, :wo] = grad_out
-    else:
-        grid = np.ascontiguousarray(grad_out)
-    g = grid.reshape(-1, spec.out_channels)[:plan.span]
-    xp = _pad(tape.padded, plan)
+    if grad_out.shape != (to, ho, wo, spec.out_channels):
+        raise ValueError(f"grad shape {grad_out.shape} != output shape "
+                         f"{(to, ho, wo, spec.out_channels)}")
+    xp, grid = x, np.ascontiguousarray(grad_out)
+    if not plan.boxed:
+        xp = _pad(x, plan)
+        _, hp, wp = plan.padded_thw
+        if (hp, wp) != (ho, wo):
+            # embed in the padded grid; zeros keep the cropped rows out of sums
+            grid = np.zeros((to, hp, wp, spec.out_channels), dtype=grad_out.dtype)
+            grid[:, :ho, :wo] = grad_out
     rows = xp.reshape(-1, spec.in_channels)
+    g = grid.reshape(-1, spec.out_channels)
     grad_w = np.zeros(tape.weights.shape, dtype=tape.weights.dtype)
-    if len(plan.taps) == 1 and plan.span == len(rows):
-        # a lone tap over the whole grid (pointwise): nothing to accumulate
-        (tap, _), = plan.taps
-        grad_w[tap] = rows.T @ g
-        grad_rows = g @ tape.weights[tap].T
+    whole = slice(0, len(rows))
+    if not plan.boxed and len(plan.work) == 1 and plan.work[0][2] == whole:
+        # a lone GEMM over every input row (a pointwise plan) gives the
+        # whole input gradient; adding it into zeros costs two more passes
+        # over rows that reach 95 MB at 288x288
+        (tap, o, _, _), = plan.work
+        grad_w[tap] = rows.T @ g[o]
+        grad_rows = g[o] @ tape.weights[tap].T
     else:
         grad_rows = np.zeros(rows.shape, dtype=rows.dtype)
-        for s, e in plan.blocks:
-            part = g[s:e]
-            for tap, off in plan.taps:
-                window = slice(off + s, off + e)
-                if s == 0:
-                    grad_w[tap] = rows[window].T @ part
-                else:
-                    grad_w[tap] += rows[window].T @ part
-                grad_rows[window] += part @ tape.weights[tap].T
+        for tap, o, i, _ in plan.work:
+            part = g[o]
+            grad_w[tap] += rows[i].T @ part
+            grad_rows[i] += part @ tape.weights[tap].T
     grad_x = grad_rows.reshape(xp.shape)
-    if plan.padded_thw != tape.in_shape[:3]:
+    if xp.shape != x.shape:
         (pt, _), (ph, _), (pw, _) = plan.pads
-        t, h, w, _ = tape.in_shape
+        t, h, w, _ = x.shape
         grad_x = np.ascontiguousarray(grad_x[pt:pt + t, ph:ph + h, pw:pw + w])
-    return grad_x, grad_w
-
-
-def _boxed_backward(tape: ConvTape, plan: _TapPlan, grad_out):
-    spec, x = tape.spec, tape.padded
-    grad_x = np.zeros(x.shape, dtype=x.dtype)
-    grad_w = np.zeros(tape.weights.shape, dtype=tape.weights.dtype)
-    for tap, out_box, in_box in plan.boxes:
-        window = x[in_box]
-        rows = window.reshape(-1, spec.in_channels)
-        g = grad_out[out_box].reshape(-1, spec.out_channels)
-        grad_w[tap] = rows.T @ g
-        grad_x[in_box] += (g @ tape.weights[tap].T).reshape(window.shape)
-    return grad_x, grad_w
+    grad_b = _bias_grad(grad_out) if spec.bias else None
+    return grad_x, grad_w, grad_b
 
 
 # NumPy loops over the last axis innermost, and a C-long inner loop is slow

@@ -242,6 +242,18 @@ class TestConvBackward:
         assert layer.grads == {}
 
 
+def _span(plan):
+    """Grid rows from the first to the last output position."""
+    (to, ho, wo), (_, hp, wp) = plan.out_thw, plan.padded_thw
+    return (to - 1) * hp * wp + (ho - 1) * wp + wo
+
+
+def _blocks(plan):
+    """Output rows of each row block of a grid plan: those its first tap
+    writes."""
+    return [o for _, o, _, first in plan.work if first]
+
+
 @pytest.fixture
 def block_rows(monkeypatch):
     """`set(spec, rows)` sizes the row blocks so `spec` gets `rows` grid rows
@@ -276,10 +288,11 @@ class TestRowBlocks:
         spec = ConvSpec((1, 1, 5), 8, 8)
         plan = layers._tap_plan(spec, (12, 288, 288))
         rows = layers._BLOCK_BYTES // (4 * 8)
-        assert plan.blocks[0] == (0, rows)
-        assert all(a[1] == b[0] for a, b in zip(plan.blocks, plan.blocks[1:]))
-        assert plan.blocks[-1][1] == plan.span
-        assert 0 < plan.blocks[-1][1] - plan.blocks[-1][0] < rows
+        blocks = _blocks(plan)
+        assert blocks[0] == slice(0, rows)
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        assert blocks[-1].stop == _span(plan)
+        assert 0 < blocks[-1].stop - blocks[-1].start < rows
 
     @pytest.mark.parametrize("spec,in_thw", [
         (ConvSpec((1, 1, 1), 3, 2), (2, 3, 4)),
@@ -289,8 +302,9 @@ class TestRowBlocks:
     def test_a_lone_tap_is_one_block(self, block_rows, spec, in_thw):
         block_rows(spec, 1)
         plan = layers._tap_plan(spec, in_thw)
-        assert len(plan.taps) == 1
-        assert plan.blocks == ((0, plan.span),)
+        assert len(plan.boxes) == 1 and not plan.boxed
+        assert len(plan.work) == 1
+        assert _blocks(plan) == [slice(0, _span(plan))]
 
     # 11 rows per block leaves a partial last block in every case
     @pytest.mark.parametrize("rows", [1, 11])
@@ -298,8 +312,8 @@ class TestRowBlocks:
     def test_matches_naive_oracle(self, block_rows, spec, shape, rows):
         block_rows(spec, rows)
         plan = layers._tap_plan(spec, shape[:3])
-        assert len(plan.blocks) > 1 and not plan.boxed
-        assert rows == 1 or plan.span % rows
+        assert len(_blocks(plan)) > 1 and not plan.boxed
+        assert rows == 1 or _span(plan) % rows
         rng = np.random.default_rng(29)
         x = rng.standard_normal(shape)
         w = rng.standard_normal(spec.weight_shape())
@@ -338,7 +352,7 @@ class TestRowBlocks:
         spec = ConvSpec((2, 3, 3), 3, 4)
         block_rows(spec, 13)
         plan = layers._tap_plan(spec, (3, 7, 8))
-        assert len(plan.blocks) > 1 and not plan.boxed
+        assert len(_blocks(plan)) > 1 and not plan.boxed
         report = grad_check(Conv3D(spec), in_shape=(3, 7, 8, 3), tol=1e-6,
                             seed=23)
         assert report.passed, report
@@ -356,7 +370,9 @@ class TestRowBlocks:
         model = ARCHS[arch](ModelConfig(lags=4, height=32, width=32,
                                         base_filters=4)).initialize(seed=0)
         model.predict(np.zeros((4, 32, 32, 1), dtype=np.float32))
-        assert seen and all(len(plan.blocks) == 1 for plan in seen)
+        # a boxed plan has no grid rows to block
+        assert seen and all(plan.boxed or len(_blocks(plan)) == 1
+                            for plan in seen)
 
 
 @pytest.fixture
@@ -408,15 +424,29 @@ def _data_macs(spec, in_thw):
 
 
 def _grid_macs(spec, plan):
-    """MACs the flat-offset kernel multiplies: every live tap over the span."""
-    return len(plan.taps) * plan.span * spec.in_channels * spec.out_channels
+    """MACs the grid layout multiplies: every live tap over the span."""
+    return len(plan.boxes) * _span(plan) * spec.in_channels * spec.out_channels
 
 
 def _boxed_macs(spec, plan):
-    """MACs the boxed kernel multiplies: every live tap over its box."""
+    """MACs the boxed layout multiplies: every live tap over its box."""
     rows = sum(int(np.prod([b.stop - b.start for b in out_box]))
                for _, out_box, _ in plan.boxes)
     return rows * spec.in_channels * spec.out_channels
+
+
+def _work_macs(spec, plan):
+    """MACs the plan's work multiplies: its output rows, entry by entry."""
+    rows = sum(o.stop - o.start if isinstance(o, slice) else o.size
+               for _, o, _, _ in plan.work)
+    return rows * spec.in_channels * spec.out_channels
+
+
+# (lags, hw, f0) at which every conv plan of both archs is checked: the
+# three workload shapes, f0=64 at 288x288, and one-frame shapes whose
+# ASPP convs box
+PLAN_SHAPES = [(4, 32, 4), (12, 64, 8), (12, 288, 8), (12, 288, 64),
+               (1, 176, 8), (1, 384, 8), (1, 576, 8)]
 
 
 class TestBoxedPlans:
@@ -453,13 +483,14 @@ class TestBoxedPlans:
         box = _data_macs(spec, in_thw)
         assert (layers._BOX_MACS * box <= grid) == boxed
         assert plan.boxed == boxed
-        assert [tap for tap, _, _ in plan.boxes] == [
-            tap for tap, _ in plan.taps]
+        # the first grid block, or the boxes, run every live tap once
+        assert [tap for tap, *_ in plan.work[:len(plan.boxes)]] == [
+            tap for tap, _, _ in plan.boxes]
 
     def test_a_tapless_plan_gives_the_bias_and_zero_gradients(self):
         spec = ConvSpec((1, 2, 2), 2, 3, dilation=(1, 3, 3))
         plan = layers._tap_plan(spec, (2, 1, 1))
-        assert plan.taps == () and plan.boxes == () and plan.boxed
+        assert plan.work == () and plan.boxes == () and plan.boxed
         rng = np.random.default_rng(47)
         x = rng.standard_normal((2, 1, 1, 2)).astype(np.float32)
         w = rng.standard_normal(spec.weight_shape()).astype(np.float32)
@@ -557,14 +588,35 @@ class TestBoxedPlans:
                 if plan.boxed] == boxed
 
     @pytest.mark.parametrize("arch", ["broad-unet", "unet"])
-    @pytest.mark.parametrize("lags,hw,f0", [
-        (4, 32, 4), (12, 64, 8), (12, 288, 8), (12, 288, 64), (1, 176, 8),
-        (1, 384, 8), (1, 576, 8)])
+    @pytest.mark.parametrize("lags,hw,f0", PLAN_SHAPES)
     def test_every_plans_boxes_are_its_data_touching_macs(self, arch, lags,
                                                           hw, f0):
         plans = _conv_plans(arch, lags, hw, f0)
         for name, (spec, in_thw, plan) in plans.items():
             assert _boxed_macs(spec, plan) == _data_macs(spec, in_thw), name
+
+    @pytest.mark.parametrize("arch", ["broad-unet", "unet"])
+    @pytest.mark.parametrize("lags,hw,f0", PLAN_SHAPES)
+    def test_every_plans_work_is_its_executed_macs(self, arch, lags, hw, f0):
+        plans = _conv_plans(arch, lags, hw, f0)
+        for name, (spec, _, plan) in plans.items():
+            executed = _boxed_macs if plan.boxed else _grid_macs
+            assert _work_macs(spec, plan) == executed(spec, plan), name
+            if plan.boxed:
+                # every entry adds into a zeroed output, each of its output
+                # rows once
+                for _, o, _, first in plan.work:
+                    assert not first and len(np.unique(o)) == len(o), name
+                continue
+            # the blocks tile the span, and each block's rows are set by
+            # one first entry over the whole block before any tap adds
+            block = slice(0, 0)
+            for _, o, _, first in plan.work:
+                if first:
+                    assert o.start == block.stop, name
+                    block = o
+                assert o == block and o.stop > o.start, name
+            assert block.stop == _span(plan), name
 
     @pytest.mark.parametrize("f0,grid,box,by_rate", [
         (8, 4.57, 0.59, None),
@@ -579,8 +631,7 @@ class TestBoxedPlans:
             if max(spec.dilation) == 1:
                 continue
             data = _data_macs(spec, in_thw)
-            run = _boxed_macs(spec, plan) if plan.boxed else _grid_macs(
-                spec, plan)
+            run = _work_macs(spec, plan)
             # a grid plan left on the grid multiplies no padding either
             assert run == data, name
             table[spec.dilation[1]] = (_grid_macs(spec, plan) / 1e9,
@@ -647,7 +698,7 @@ class TestOracleSweep:
                 finally:
                     layers._tap_plan.cache_clear()
             assert plan.boxed == {"default": plan.boxed, "boxed": True,
-                                  "grid": not plan.taps}[layout]
+                                  "grid": not plan.boxes}[layout]
             for got, want in [(y, want_y), (gx, want_gx), (gw, want_gw)]:
                 np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10,
                                            err_msg=layout)
