@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import os
 import struct
@@ -631,7 +632,64 @@ class TestSplits:
             split_counts(samples, 30, 30, 30)
 
 
+def _synth_reference(cfg):
+    """The frames of `cfg` by the direct per-pixel formula: every blob's
+    exp(-(dy^2 + dx^2) / (2 sigma^2)) at the toroidal distance from each
+    pixel to its moved center, summed in blob order, clipped to [0, 1]."""
+    rng = np.random.default_rng(cfg.seed)
+    centers = rng.uniform((0, 0), (cfg.height, cfg.width), size=(cfg.n_blobs, 2))
+    vy, vx = cfg.velocity
+    rows = np.arange(cfg.height, dtype=np.float64)[:, None]
+    cols = np.arange(cfg.width, dtype=np.float64)[None, :]
+    inv = 1.0 / (2.0 * cfg.blob_sigma ** 2)
+    frames = np.zeros((cfg.n_frames, cfg.height, cfg.width, 1), dtype=np.float32)
+    for t in range(cfg.n_frames):
+        total = np.zeros((cfg.height, cfg.width))
+        for cy, cx in centers:
+            dy = (rows - cy - vy * t) % cfg.height
+            dy = np.minimum(dy, cfg.height - dy)
+            dx = (cols - cx - vx * t) % cfg.width
+            dx = np.minimum(dx, cfg.width - dx)
+            total += np.exp(-(dy * dy + dx * dx) * inv)
+        frames[t, :, :, 0] = np.clip(total, 0.0, 1.0)
+    return frames
+
+
 class TestSynthAdvection:
+    @pytest.mark.parametrize("kwargs", [
+        dict(velocity=(1, 2)),                       # integer velocity
+        dict(velocity=(0.3, -0.7), n_frames=50),     # fractional velocity
+        dict(height=16, width=40, velocity=(-2, 0.5), n_blobs=5,
+             blob_sigma=4.0),                        # non-square frame
+        # 68 frames of 24x40 make one chunk of 2^16 pixels, so the last of
+        # these 150 frames is a partial chunk of 14
+        dict(height=24, width=40, n_frames=150, velocity=(0.25, 1)),
+        # the CI pipeline's radar-sized frames, each a chunk of its own
+        dict(height=765, width=700, n_frames=4, blob_sigma=40.0),
+    ])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_matches_the_per_pixel_formula(self, kwargs, seed):
+        cfg = SynthConfig(seed=seed, **kwargs)
+        frames = synth_advection(cfg).frames
+        assert frames.shape == (cfg.n_frames, cfg.height, cfg.width, 1)
+        assert frames.dtype == np.float32
+        # exp(a) * exp(b) may round apart from exp(a + b) in float64; the
+        # float32 cast leaves at most one ulp of that
+        np.testing.assert_array_max_ulp(frames, _synth_reference(cfg), maxulp=1)
+
+    def test_never_holds_the_run_in_float64(self):
+        # 16 frames of 288x288 are 10 MiB in float64, and each frame is
+        # one chunk of about 2^16 pixels
+        cfg = SynthConfig(height=288, width=288, n_frames=16, velocity=(1, 2))
+        tracemalloc.start()
+        try:
+            frames = synth_advection(cfg).frames
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        run_f64 = cfg.n_frames * cfg.height * cfg.width * 8
+        assert peak - frames.nbytes < run_f64 / 2
+
     def test_deterministic(self):
         cfg = SynthConfig(seed=5)
         a = synth_advection(cfg)
@@ -639,12 +697,14 @@ class TestSynthAdvection:
         np.testing.assert_array_equal(a.frames, b.frames)
 
     def test_integer_velocity_is_exact_shift(self):
-        cfg = SynthConfig(height=16, width=16, n_frames=6, velocity=(1, 2),
-                          seed=1)
-        seq = synth_advection(cfg)
-        for t in range(1, 6):
-            expected = np.roll(seq.frames[0], (t, 2 * t), axis=(0, 1))
-            np.testing.assert_allclose(seq.frames[t], expected, atol=1e-6)
+        for (vy, vx), seed in itertools.product(
+                [(1, 2), (0, 1), (1, 1), (-2, 3)], range(6)):
+            cfg = SynthConfig(height=16, width=16, n_frames=6,
+                              velocity=(vy, vx), seed=seed)
+            seq = synth_advection(cfg)
+            for t in range(1, 6):
+                expected = np.roll(seq.frames[0], (vy * t, vx * t), axis=(0, 1))
+                np.testing.assert_array_equal(seq.frames[t], expected)
 
     def test_zero_velocity_static(self):
         seq = synth_advection(SynthConfig(n_frames=4, velocity=(0, 0), seed=2))
